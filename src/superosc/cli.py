@@ -48,6 +48,7 @@ from .synthesis import PairSynthesizer, combine_pair, make_real_superosc, sample
 EXPERIMENTS = ("synth", "spectrum", "freq-map", "transition", "detune", "energy", "sweep")
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
+_CSV_BLOCK_ROWS = 4096
 
 
 # ------------------------------------------------------------ run record --
@@ -76,22 +77,22 @@ class RunRecord:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _format_column(col: np.ndarray) -> list[str]:
+    """Cells of one column: strings as-is, integers in decimal, the rest as floats."""
+    if col.dtype.kind in "OUiu":
+        return [str(v) for v in col.tolist()]
+    return [_FLOAT_FMT % v for v in col.astype(float).tolist()]
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Fixed header, comma separation, 17-significant-digit scientific floats."""
-    n = len(columns[0])
+    columns = [np.asarray(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            cells = []
-            for col in columns:
-                v = col[i]
-                if isinstance(v, (str, np.str_)):
-                    cells.append(str(v))
-                elif isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(_FLOAT_FMT % float(v))
-            fh.write(",".join(cells) + "\n")
+        # a block of rows at a time, so the formatted strings stay few
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [_format_column(col[lo:lo + _CSV_BLOCK_ROWS]) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 # ---------------------------------------------------------------- config --

@@ -16,7 +16,10 @@ Two phase-locked components combine into a complex signal that inside
 [-extent, 0] approximates amplitude * exp(i*z*k0*(1 +- cosh A)/2), i.e. a
 clean oscillation faster than the band limit.  All sampling is done in
 log-magnitude space so that the exponential growth outside the window (up to
-e^700 in admissible regimes) never overflows intermediates.
+e^700 in admissible regimes) never overflows intermediates.  Each point
+evaluates only the Bessel branch of its own region (j0 where the radicand is
+>= 0, the scaled i0e inside the growth region), and a pair computes the
+carrier exp(i z k0/2) once for both components.
 
 Contour shift: the circle integrand's modulus varies as
 exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
@@ -72,6 +75,36 @@ def growth_region(p: SuperoscParams) -> tuple[float, float]:
     return (s * math.exp(-p.boost), s * math.exp(p.boost))
 
 
+def _component_logmag_sign(p: SuperoscParams, z):
+    """One component without its carrier: value = sign * exp(logmag) * exp(i z k0/2).
+
+    ``sign`` is the sign of the Bessel factor times the sign of the amplitude
+    (0 at an exact Bessel zero, where logmag is -inf).  Each point evaluates
+    only its own branch: j0 where the radicand is >= 0, i0e in the growth
+    region.
+    """
+    z = np.asarray(z, dtype=float)
+    if p.amplitude == 0.0:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape)
+    rad = radicand(p, z)
+    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
+    inv2 = p.inv_sq_delta
+
+    logmag = np.empty(z.shape)
+    sign = np.ones(z.shape)
+    oscillatory = rad >= 0.0
+    growth = ~oscillatory
+    jval = j0(inv2 * np.sqrt(rad[oscillatory]))
+    with np.errstate(divide="ignore"):
+        logmag[oscillatory] = log_pref + np.log(np.abs(jval))
+    sign[oscillatory] = np.sign(jval)
+    xi = inv2 * np.sqrt(-rad[growth])
+    logmag[growth] = log_pref + xi + np.log(i0e(xi))
+    if p.amplitude < 0.0:
+        sign = -sign
+    return logmag, sign
+
+
 def component_log(p: SuperoscParams, z):
     """One component as (log-magnitude, unit factor): value = unit * exp(logmag).
 
@@ -80,25 +113,10 @@ def component_log(p: SuperoscParams, z):
     an exact Bessel zero, where logmag is -inf).
     """
     z = np.asarray(z, dtype=float)
-    rad = radicand(p, z)
     if p.amplitude == 0.0:
         return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
-    inv2 = p.inv_sq_delta
-
-    oscillatory = rad >= 0.0
-    xj = inv2 * np.sqrt(np.maximum(rad, 0.0))
-    jval = j0(xj)
-    xi = inv2 * np.sqrt(np.maximum(-rad, 0.0))
-    with np.errstate(divide="ignore"):
-        logmag = np.where(
-            oscillatory,
-            log_pref + np.log(np.abs(jval)),
-            log_pref + xi + np.log(i0e(xi)),
-        )
-    sign = np.where(oscillatory, np.sign(jval), 1.0) * math.copysign(1.0, p.amplitude)
-    unit = sign * np.exp(0.5j * z * p.band_limit)
-    return logmag, unit
+    logmag, sign = _component_logmag_sign(p, z)
+    return logmag, sign * np.exp(0.5j * z * p.band_limit)
 
 
 def synth_bessel(p: SuperoscParams, z):
@@ -234,8 +252,18 @@ class PairSynthesizer:
         return self.p1.extent
 
     def components_log(self, z, window: WindowSpec | None = None):
-        l1, u1 = component_log(self.p1, z)
-        l2, u2 = component_log(self.p2, z)
+        z = np.asarray(z, dtype=float)
+        if self.p1.amplitude == 0.0:
+            # exact +0 units: a zero sign times the carrier leaves -0.0 parts
+            l1, u1 = component_log(self.p1, z)
+            l2, u2 = component_log(self.p2, z)
+        else:
+            # combine_pair guarantees a shared band limit, hence one carrier.
+            l1, s1 = _component_logmag_sign(self.p1, z)
+            l2, s2 = _component_logmag_sign(self.p2, z)
+            carrier = np.exp(0.5j * z * self.p1.band_limit)
+            u1 = s1 * carrier
+            u2 = s2 * carrier
         u2 = u2 * (1j * self.branch)
         if window is not None and not window.is_identity:
             logh = window.log_profile(z)

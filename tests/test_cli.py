@@ -292,3 +292,28 @@ def test_malformed_config_exits_2(tmp_path):
     bad.write_text("amplitude = 1.0\nno section header above\n")
     assert main(["energy", "--config", str(bad), "--out", str(tmp_path),
                  "--quiet"]) == 2
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    from superosc.cli import _CSV_BLOCK_ROWS, write_csv
+
+    n = 2 * _CSV_BLOCK_ROWS + 3  # two full blocks and a partial one
+    rng = np.random.default_rng(7)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:3] = [0.0, -0.0, 1.0]
+    ints = rng.integers(-5, 5, n)
+    labels = np.array(["growth", "farfield", "superoscillatory"], dtype=object)[ints % 3]
+    flags = floats > 0.0
+    columns = [floats, ints, labels, flags, rng.standard_normal(n).astype(np.float32)]
+    write_csv(tmp_path / "out.csv", ["f", "i", "s", "b", "f32"], columns)
+
+    def cell(v):  # reference: type checked per cell
+        if isinstance(v, (str, np.str_)):
+            return str(v)
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "%.16e" % float(v)
+
+    expected = "f,i,s,b,f32\n" + "".join(
+        ",".join(cell(col[i]) for col in columns) + "\n" for i in range(n))
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected

@@ -165,3 +165,70 @@ def test_long_time_boundedness(dyn_signal, dyn_particle):
     p1 = transition_probability(dyn_signal, dyn_particle, t1)
     p2 = transition_probability(dyn_signal, dyn_particle, 2.0 * t1)
     assert p2 / p1 <= 1.2
+
+
+# ------------------------------------------------ spline on the reach only ----
+
+
+def _whole_grid_probability(s, particle, t):
+    """Reference: the spline through every sample of the grid, one Simpson sum per t."""
+    from scipy.interpolate import CubicSpline
+
+    from superosc.dynamics import N_PER_PERIOD
+
+    if t == 0.0:
+        return 0.0
+    fastest = particle.gap_frequency + s.k_max
+    n = max(8, int(math.ceil(t * fastest / (2.0 * math.pi) * N_PER_PERIOD)))
+    n += n % 2
+    ts = np.linspace(0.0, t, n + 1)
+    w = CubicSpline(s.z, s.values)(particle.detector_z - ts) * np.exp(1j * particle.gap_frequency * ts)
+    amp = (t / n / 3.0) * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-2:2].sum())
+    return particle.coupling**2 * abs(amp) ** 2
+
+
+def _near_left_edge_signal(pair):
+    """dyn pair on a short grid whose left edge sits 40 samples below -extent."""
+    from superosc import presets
+
+    dz = presets.DYN_DZ
+    z_min = -pair.extent - 40 * dz
+    return pair.sample_real(z_min, dz, int((10.0 - z_min) / dz), window=presets.DYN_WINDOW)
+
+
+def _assert_rel_close(values, refs, rel=1e-13):
+    values, refs = np.asarray(values), np.asarray(refs)
+    assert np.all(np.abs(values - refs) <= rel * np.abs(refs))
+
+
+@pytest.mark.parametrize("grid", ["dyn", "near_left_edge"])
+def test_local_spline_matches_whole_grid(grid, dyn_signal, dyn_particle, dyn_pair):
+    s = dyn_signal if grid == "dyn" else _near_left_edge_signal(dyn_pair)
+    t_max = dyn_pair.extent
+    if grid == "near_left_edge":
+        from superosc.dynamics import SPLINE_MARGIN
+
+        # the reach starts inside the margin, so the fitted slice is clipped
+        assert (-t_max - s.z_min) / s.dz < SPLINE_MARGIN
+    times = np.linspace(0.0, t_max, 12)
+    curve = probability_curve(s, dyn_particle, times)
+    refs = [_whole_grid_probability(s, dyn_particle, t) for t in times]
+    assert curve.values[0] == 0.0
+    _assert_rel_close(curve.values[1:], refs[1:])
+    for t in (times[3], t_max):
+        _assert_rel_close(transition_probability(s, dyn_particle, t),
+                          _whole_grid_probability(s, dyn_particle, t))
+    gaps = dyn_particle.gap_frequency * np.array([0.5, 0.8, 1.0, 1.2, 1.6])
+    scan = detuning_scan(s, gaps, t_max)
+    _assert_rel_close(scan.probabilities,
+                      [_whole_grid_probability(s, TwoLevelParticle(gap_frequency=g), t_max)
+                       for g in gaps])
+
+
+def test_detector_rejects_negative_or_uncovered_times(dyn_signal, dyn_particle):
+    too_long = dyn_signal.z_max - dyn_signal.z_min + 1.0
+    for t in (too_long, -1.0):
+        with pytest.raises(DomainError):
+            detuning_scan(dyn_signal, [OMEGA], t)
+    with pytest.raises(DomainError):
+        probability_curve(dyn_signal, dyn_particle, [-1.0, 5.0])

@@ -294,3 +294,81 @@ def test_route_agreement_fuzz_seeded():
             assert abs(quad.value - closed) <= max(quad.error, 1e-12 * abs(closed))
         n_checked += 1
     assert n_checked > 200
+
+
+# ------------------------------------------------- masked Bessel branches ----
+
+
+def _all_points_component_log(p, z):
+    """Reference: both Bessel branches on every point, merged by np.where."""
+    from scipy.special import i0e, j0
+
+    from superosc.synthesis import radicand
+
+    z = np.asarray(z, dtype=float)
+    rad = radicand(p, z)
+    if p.amplitude == 0.0:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
+    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
+    oscillatory = rad >= 0.0
+    jval = j0(p.inv_sq_delta * np.sqrt(np.maximum(rad, 0.0)))
+    xi = p.inv_sq_delta * np.sqrt(np.maximum(-rad, 0.0))
+    with np.errstate(divide="ignore"):
+        logmag = np.where(oscillatory, log_pref + np.log(np.abs(jval)),
+                          log_pref + xi + np.log(i0e(xi)))
+    sign = np.where(oscillatory, np.sign(jval), 1.0) * math.copysign(1.0, p.amplitude)
+    return logmag, sign * np.exp(0.5j * z * p.band_limit)
+
+
+def _all_points_pair(pair, z, window=None):
+    l1, u1 = _all_points_component_log(pair.p1, z)
+    l2, u2 = _all_points_component_log(pair.p2, z)
+    u2 = u2 * (1j * pair.branch)
+    if window is not None:
+        logh = window.log_profile(z)
+        l1, l2 = l1 + logh, l2 + logh
+    return pair._combine(l1, u1, l2, u2)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
+def test_masked_component_log_matches_all_points(amplitude):
+    from superosc import component_log, presets
+    from superosc.synthesis import growth_region
+
+    p = presets.mild_component(amplitude)
+    z_lo, z_hi = growth_region(p)
+    z = np.linspace(z_lo - 20.0, z_hi + 20.0, 5001)  # straddles both edges
+    logmag, unit = component_log(p, z)
+    ref_logmag, ref_unit = _all_points_component_log(p, z)
+    assert np.array_equal(logmag, ref_logmag)
+    assert np.array_equal(unit, ref_unit)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
+def test_masked_pair_samples_match_all_points(amplitude):
+    from superosc import presets
+    from superosc.synthesis import growth_region
+
+    pair = presets.mild_pair(amplitude)
+    lo = min(growth_region(pair.p1)[0], growth_region(pair.p2)[0])
+    hi = max(growth_region(pair.p1)[1], growth_region(pair.p2)[1])
+    z_min, dz = lo - 30.0, presets.MILD_PAIR_DZ
+    n = int((hi + 30.0 - z_min) / dz)
+    z = z_min + dz * np.arange(n)
+    for window in (None, presets.MILD_PAIR_WINDOW):
+        ref = _all_points_pair(pair, z, window)
+        assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
+        assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
+                              np.imag(ref))
+
+
+def test_masked_bessel_scalar_and_0d_input():
+    from superosc import component_log, presets
+
+    p = presets.mild_component(-1.0)
+    for z in (-3.0, 0.0, p.growth_peak_z, 200.0):  # window, origin, growth peak, beyond it
+        ref_logmag, ref_unit = _all_points_component_log(p, np.asarray(z))
+        assert synth_bessel(p, z) == complex(ref_unit * np.exp(ref_logmag))
+        logmag, unit = component_log(p, np.asarray(z))
+        assert logmag.shape == () and unit.shape == ()
+        assert np.array_equal(logmag, ref_logmag) and np.array_equal(unit, ref_unit)
