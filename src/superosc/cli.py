@@ -1,6 +1,6 @@
 """Experiment driver.
 
-    superosc <experiment> --config <path> [--out <dir>] [--jobs N] [--quiet]
+    superosc <experiment> --config <path> [--out <dir>] [--quiet]
 
 Experiments: synth | spectrum | freq-map | transition | detune | energy |
 sweep.  Configs are flat INI files, one section per parameter block (see
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .dynamics import (
     probability_curve,
 )
 from .energy import compute_I3, energy_balance, i2_over_gap, sine_overlap_denominator
-from .errors import BalanceViolation, ConfigError, MissingPayload, SuperoscError
+from .errors import BalanceViolation, ConfigError, SuperoscError
 from .field import ModeGrid, amplitudes_from_spectrum
 from .frequency import frequency_profile, window_frequency
 from .params import SuperoscParams, WindowSpec
@@ -140,9 +139,12 @@ class _Block:
         if raw is None:
             return dflt
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a finite number")
+        return value
 
     def get_int(self, key, default=None, required=False) -> int:
         raw, dflt = self._fetch(key, default, required)
@@ -173,9 +175,12 @@ class _Block:
         if raw is None:
             return dflt
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a float list") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a finite float list")
+        return values
 
 
 def _boost_from(block: _Block, default: float | None = None) -> float:
@@ -255,9 +260,12 @@ def _resolve_gap(cfg: dict, pair: PairSynthesizer) -> float:
     if raw == "matched":
         return pair.wavenumber
     try:
-        return float(raw)
+        gap = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[particle] gap = {raw!r}: use 'matched' or a number") from exc
+    if not math.isfinite(gap):
+        raise ConfigError(f"[particle] gap = {raw!r}: not a finite number")
+    return gap
 
 
 def _focused_grid(pair: PairSynthesizer, pad: float = 1.0):
@@ -326,17 +334,6 @@ def run_synth(cfg: dict) -> RunRecord:
         "region": _region_labels(z, p),
     }
     return rec
-
-
-def emit_figure_data(record: RunRecord, out_dir: Path) -> list[Path]:
-    """Figure-ready dataset: the waveform with region annotations."""
-    if record.experiment != "synth" or not record.series:
-        raise MissingPayload("figure emission needs an in-memory synth payload")
-    s = record.series
-    out = out_dir / "figure.csv"
-    write_csv(out, ["z", "re", "im", "abs", "region"],
-              [s["z"], s["re"], s["im"], s["abs"], s["region"]])
-    return [out]
 
 
 def run_spectrum(cfg: dict) -> RunRecord:
@@ -614,7 +611,7 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     return out
 
 
-def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunRecord, list[dict]]:
+def run_sweep(cfg: dict) -> tuple[RunRecord, list[dict]]:
     sw = dict(cfg.get("sweep", {}))
     shuffle = sw.pop("shuffle", "false").strip().lower() in ("1", "true", "yes", "on")
     keys = [k for k in sw if k in _SWEEP_KEYS]
@@ -635,21 +632,13 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunRecord, list[dict]]:
         random.Random(_Block(cfg, "run").get_int("seed", 0)).shuffle(order)
 
     results: dict[int, dict] = {}
-
-    def one(i: int) -> None:
+    for i in order:
         try:
             results[i] = {"point": points[i], "payload": _sweep_point(cfg, points[i]),
                           "error": None}
         except (SuperoscError, ValueError) as exc:
             results[i] = {"point": points[i], "payload": None,
                           "error": f"{type(exc).__name__}: {exc}"}
-
-    if jobs > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(one, order))
-    else:
-        for i in order:
-            one(i)
 
     records = [results[i] for i in range(len(points))]  # deterministic order
     n_failed = sum(1 for r in records if r["error"])
@@ -677,13 +666,11 @@ def _series_files(rec: RunRecord, out_dir: Path) -> list[Path]:
         cols = list(rec.series.keys())
         write_csv(out_dir / name, cols, [np.asarray(rec.series[c]) for c in cols])
         written.append(out_dir / name)
-    if rec.experiment == "synth":
-        written += emit_figure_data(rec, out_dir)
     return written
 
 
 def run_experiment(experiment: str, config_path: str, out_dir: Path,
-                   jobs: int = 1, quiet: bool = False) -> RunRecord:
+                   quiet: bool = False) -> RunRecord:
     cfg = load_config(config_path)
     declared = cfg.get("run", {}).get("experiment")
     if declared and declared.strip() != experiment:
@@ -693,7 +680,7 @@ def run_experiment(experiment: str, config_path: str, out_dir: Path,
     chash = config_hash(cfg)
     t0 = time.perf_counter()
     if experiment == "sweep":
-        rec, points = run_sweep(cfg, jobs=jobs)
+        rec, points = run_sweep(cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "sweep_points.jsonl", "w", encoding="utf-8") as fh:
             for item in points:
@@ -728,14 +715,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     try:
         out_dir = resolve_out_dir(args.out, load_config(args.config))
-        run_experiment(args.experiment, args.config, out_dir,
-                       jobs=args.jobs, quiet=args.quiet)
+        run_experiment(args.experiment, args.config, out_dir, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,15 @@ exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
 is entire and 2*pi periodic, the contour a -> a + i*t may be shifted freely;
 for z <= 0 there is a t* in [0, A] at which the modulus is exactly constant,
 reducing the task to a pure-phase integral that double precision handles at
-full accuracy.  For z > 0 no flattening shift exists (the growth is real);
-the best shift t = A is used and the route refuses when the residual
-amplitude exceeds the honest-cancellation budget.
+full accuracy.  The shift has a closed form, no root-find:
+
+    t* = atanh(sinh A / (cosh A + |z| k0 delta^2/2)),
+
+evaluated as 0.5 * log1p(2 sinh A / (e^-A + |z| k0 delta^2/2)), which is the
+same number without the cancellation in 1 - tanh t* as t* nears A.  For
+z > 0 no flattening shift exists (the growth is real); the best shift t = A
+is used and the route refuses when the residual amplitude exceeds the
+honest-cancellation budget.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import i0e, j0
 
 from .errors import DomainError, OverflowRegime, PhaseLockViolation, QuadratureNoConvergence
@@ -157,19 +162,17 @@ def synth_asymptotic(p: SuperoscParams, z):
 def _flattening_shift(p: SuperoscParams, z: float) -> float:
     """Imaginary contour shift t* in [0, A] that removes the modulus variation.
 
-    Root of sinh(A - t)/delta^2 + z k0 sinh(t)/2, which is strictly
-    decreasing in t for z <= 0, hence unique.
+    Root of sinh(A - t)/delta^2 + z k0 sinh(t)/2 for z <= 0: expanding
+    sinh(A - t) gives tanh t* = sinh A / (cosh A + c), c = |z| k0 delta^2/2.
+    Since 1 - tanh t* = (e^-A + c)/(cosh A + c), atanh(x) = log1p(2x/(1 - x))/2
+    becomes the expression below, accurate near both t* = 0 and t* = A.
     """
     if p.boost == 0.0:
         return 0.0
     if z == 0.0:
         return p.boost
-    inv2 = p.inv_sq_delta
-
-    def modulus_rate(t):
-        return math.sinh(p.boost - t) * inv2 + 0.5 * z * p.band_limit * math.sinh(t)
-
-    return brentq(modulus_rate, 0.0, p.boost, xtol=1e-15, rtol=8.9e-16)
+    c = 0.5 * abs(z) * p.band_limit / p.inv_sq_delta
+    return 0.5 * math.log1p(2.0 * math.sinh(p.boost) / (math.exp(-p.boost) + c))
 
 
 def synth_integral(p: SuperoscParams, z: float, max_subdivisions: int = 2000) -> QuadResult:

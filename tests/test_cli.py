@@ -8,8 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from superosc.cli import config_hash, emit_figure_data, load_config, main, run_experiment
-from superosc.errors import MissingPayload
+from superosc.cli import config_hash, load_config, main, run_experiment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMA = json.loads(
@@ -134,7 +133,8 @@ def test_synth_payload_cross_module_identity(tmp_path):
 
 def test_figure_csv_regions(tmp_path):
     assert _run("synth", "synth.cfg", tmp_path) == 0
-    lines = (tmp_path / "figure.csv").read_text().splitlines()
+    assert not (tmp_path / "figure.csv").exists()  # synth_series.csv is the figure data
+    lines = (tmp_path / "synth_series.csv").read_text().splitlines()
     assert lines[0] == "z,re,im,abs,region"
     regions = {row.rsplit(",", 1)[1] for row in lines[1:]}
     assert regions == {"superoscillatory", "growth", "farfield"}
@@ -151,14 +151,6 @@ def test_figure_csv_regions(tmp_path):
     rec = _record(tmp_path, "synth")
     predicted = rec["payload"]["growth_peak"]["z_predicted"]
     assert abs(z[i] - predicted) / predicted <= 0.05
-
-
-def test_emit_figure_requires_synth_payload(tmp_path):
-    from superosc.cli import RunRecord
-
-    rec = RunRecord(experiment="energy", config_hash="0" * 64, payload={})
-    with pytest.raises(MissingPayload):
-        emit_figure_data(rec, tmp_path)
 
 
 def test_spectrum_payload_certificate(tmp_path):
@@ -245,14 +237,6 @@ def test_sweep_delta_ladder_window_extent(tmp_path):
     assert all(pt["payload"]["certificate_ok"] for pt in points)
 
 
-def test_sweep_jobs_order_deterministic(tmp_path):
-    out1, out2 = tmp_path / "j1", tmp_path / "j4"
-    assert _run("sweep", "sweep_boost_ladder.cfg", out1) == 0
-    assert _run("sweep", "sweep_boost_ladder.cfg", out2, extra=("--jobs", "4")) == 0
-    assert (out1 / "sweep_points.jsonl").read_text() == (
-        out2 / "sweep_points.jsonl").read_text()
-
-
 def test_zero_boost_window_stays_at_band_limit(tmp_path):
     # degenerate pair: no superoscillation, window frequency = k0
     cfg = tmp_path / "a0.cfg"
@@ -292,6 +276,28 @@ def test_malformed_config_exits_2(tmp_path):
     bad.write_text("amplitude = 1.0\nno section header above\n")
     assert main(["energy", "--config", str(bad), "--out", str(tmp_path),
                  "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("fixture,section,key,value", [
+    ("synth.cfg", "superosc", "extent", "nan"),
+    ("synth.cfg", "superosc", "boost", "inf"),
+    ("synth.cfg", "grid", "dz", "nan"),
+    ("detune.cfg", "detune", "probes_rel", "0.8,-inf"),
+    ("detune.cfg", "particle", "gap", "nan"),
+])
+def test_non_finite_config_value_exits_2(fixture, section, key, value, tmp_path, capsys):
+    cfg = tmp_path / fixture
+    lines = [ln for ln in (FIXTURES / fixture).read_text().splitlines()
+             if not ln.startswith(f"{key} =")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    experiment = fixture.removesuffix(".cfg")
+    rc = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and f"{key} = " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):

@@ -117,6 +117,64 @@ def test_integral_overflow_precondition():
         synth_integral(p, -1.0)
 
 
+def test_integral_subdivision_budget_enforced():
+    p = _p(0.3, 1.5)  # deepest phase budget of the acceptance-1 domain
+    res = synth_integral(p, -20.0)
+    assert res.n_evals > 15 * (int(30.0 / 3.0) + 3)  # needs many bisections
+    with pytest.raises(QuadratureNoConvergence):
+        synth_integral(p, -20.0, max_subdivisions=1)
+
+
+# ------------------------------------------------------- contour shift ----
+
+
+def _modulus_rate(p, z, t):
+    return math.sinh(p.boost - t) * p.inv_sq_delta + 0.5 * z * p.band_limit * math.sinh(t)
+
+
+def test_flattening_shift_in_range():
+    from superosc.synthesis import _flattening_shift
+
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        p = _p(float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.0, 3.0)), extent=1e-3)
+        for z in (0.0, -1e-12, float(rng.uniform(-50.0, 0.0)), -1e9):
+            t = _flattening_shift(p, z)
+            assert 0.0 <= t <= p.boost
+    assert _flattening_shift(_p(0.5, 0.0), -3.0) == 0.0
+    assert _flattening_shift(_p(0.5, 1.2), 0.0) == 1.2
+
+
+def test_flattening_shift_zeroes_modulus_rate():
+    # seeded draws over the acceptance-1 domain
+    from superosc.synthesis import _flattening_shift
+
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        p = _p(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.0, 1.5)))
+        z = float(rng.uniform(-20.0, 0.0))
+        t = _flattening_shift(p, z)
+        assert abs(_modulus_rate(p, z, t)) <= 1e-13 * p.growth_exponent
+
+
+@pytest.mark.parametrize(
+    "delta,boost,z",
+    [(0.3, 1.5, -20.0), (0.5, 1.0, -10.0), (0.7, 0.01, -0.5), (0.3, 3.0, -1e-6), (0.9, 2.0, -50.0)],
+)
+def test_flattening_shift_matches_mpmath_root(delta, boost, z):
+    import mpmath
+
+    from superosc.synthesis import _flattening_shift
+
+    p = _p(delta, boost, extent=1e-3)
+    with mpmath.workdps(40):
+        a, inv2, zz = mpmath.mpf(p.boost), mpmath.mpf(p.inv_sq_delta), mpmath.mpf(z)
+        root = mpmath.findroot(
+            lambda t: mpmath.sinh(a - t) * inv2 + zz * p.band_limit * mpmath.sinh(t) / 2,
+            a / 2)
+    assert abs(_flattening_shift(p, z) - float(root)) <= 1e-14
+
+
 # ---------------------------------------------------------- asymptotic ----
 
 
