@@ -265,6 +265,8 @@ def _resolve_gap(cfg: dict, pair: PairSynthesizer) -> float:
         raise ConfigError(f"[particle] gap = {raw!r}: use 'matched' or a number") from exc
     if not math.isfinite(gap):
         raise ConfigError(f"[particle] gap = {raw!r}: not a finite number")
+    if gap <= 0.0:
+        raise ConfigError(f"[particle] gap = {raw!r}: must be > 0")
     return gap
 
 
@@ -542,20 +544,23 @@ _SWEEP_KEYS = ("m_phase", "boost", "boost_arccosh", "extent", "amplitude",
 def _parse_ladder(section: str, key: str, raw: str) -> list[float]:
     tok = raw.strip().split(":")
     kind = tok[0].lower()
+    if kind not in ("lin", "log", "list"):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: kind must be lin|log|list")
     try:
         if kind == "list":
-            return [float(x) for x in tok[1].split(",") if x.strip()]
-        if kind in ("lin", "log"):
+            values = [float(x) for x in tok[1].split(",") if x.strip()]
+        else:
             lo, hi, n = float(tok[1]), float(tok[2]), int(tok[3])
             if n < 0:
                 raise ValueError("negative count")
-            if n == 0:
-                return []
             fn = np.linspace if kind == "lin" else np.geomspace
-            return [float(v) for v in fn(lo, hi, n)]
+            with np.errstate(all="ignore"):  # a non-finite value is reported below
+                values = [float(v) for v in fn(lo, hi, n)] if n else []
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: malformed ladder") from exc
-    raise ConfigError(f"[{section}] {key} = {raw!r}: kind must be lin|log|list")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
+    return values
 
 
 def _sweep_point(cfg: dict, point: dict) -> dict:

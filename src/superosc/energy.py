@@ -14,10 +14,17 @@ quadrature error; it depends on Omega and t only through theta = Omega*t:
 
     I2/E = -(theta^2/4 - sin(2 theta)^2/16 - sin(theta)^4/4)
            / (sin(theta)^4/4 + (theta/2 - sin(2 theta)/4)^2)
+
+I3's k integral depends only on the UV cutoff, Omega, t and the node
+density, not on the waveform's amplitude or the box, so ``_i3_integral``
+holds it in a bounded LRU cache keyed by (k_uv, Omega, t, n_per_period),
+maxsize 16.  ``compute_I3`` divides the cached float by box_length^2 and the
+denominator on every call, as before, so its result is unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,15 +88,20 @@ def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
         raise CutoffMissing("compute_I3 requires uv_cutoff on the mode grid")
     if denominator <= 0.0:
         raise DegenerateDenominator("denominator must be positive")
-    k_uv = grid.uv_cutoff
+    integral = _i3_integral(grid.uv_cutoff, gap_frequency, t, n_per_period)
+    return integral / (grid.box_length**2 * denominator)
+
+
+@functools.lru_cache(maxsize=16)
+def _i3_integral(k_uv: float, gap_frequency: float, t: float, n_per_period: int) -> float:
+    """The k integral of ``compute_I3``, to the cutoff k_uv."""
     n = max(1024, int(math.ceil(k_uv * t / (2.0 * math.pi) * n_per_period)))
     k = np.linspace(0.0, k_uv, n + 1)
     w = k  # omega = c k
     integrand = k**2 * 4.0 * np.sin((gap_frequency + w) * t / 2.0) ** 2 / (
         gap_frequency + w
     ) ** 2
-    integral = float(np.trapezoid(integrand, k))
-    return integral / (grid.box_length**2 * denominator)
+    return float(np.trapezoid(integrand, k))
 
 
 @dataclass(frozen=True)

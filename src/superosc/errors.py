@@ -37,10 +37,6 @@ class TruncationError(SuperoscError):
     """Grid does not contain the signal well enough for the operation."""
 
 
-class GridUnderresolved(SuperoscError):
-    """Sample spacing too coarse for the oscillation content involved."""
-
-
 class InfraredError(SuperoscError):
     """Spectral weight at the lowest mode is not integrable against 1/k."""
 
@@ -62,10 +58,6 @@ class BalanceViolation(SuperoscError):
 
     Carries the offending report in ``args[1]`` for diagnostics.
     """
-
-
-class MissingPayload(SuperoscError):
-    """Run record does not contain the payload required for emission."""
 
 
 class ConfigError(SuperoscError):

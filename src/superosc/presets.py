@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 from .dynamics import TwoLevelParticle
-from .field import ModeGrid
 from .params import SuperoscParams, WindowSpec
 from .signal import SampledSignal
 from .spectral import SpectralDensity, spectrum
@@ -103,11 +102,6 @@ def dyn_particle(pair: PairSynthesizer | None = None,
     return TwoLevelParticle(gap_frequency=matched_gap(pair), coupling=coupling)
 
 
-def dyn_mode_grid(signal: SampledSignal | None = None) -> ModeGrid:
-    signal = signal if signal is not None else dyn_signal()
-    return ModeGrid.for_signal(signal, uv_cutoff=DYN_UV_CUTOFF)
-
-
 # ---------------------------------------------------------------- mild ----
 
 MILD_DELTA = 0.3
@@ -151,14 +145,3 @@ def mild_pair_signal_real(pair: PairSynthesizer | None = None) -> SampledSignal:
     pair = pair or mild_pair()
     return make_real_superosc(pair, pair.wavenumber, MILD_PAIR_Z_MIN, MILD_PAIR_DZ,
                               MILD_PAIR_N, window=MILD_PAIR_WINDOW, label="mild-pair")
-
-
-def mild_pair_signal(pair: PairSynthesizer | None = None) -> SampledSignal:
-    pair = pair or mild_pair()
-    return pair.sample(MILD_PAIR_Z_MIN, MILD_PAIR_DZ, MILD_PAIR_N,
-                       window=MILD_PAIR_WINDOW, label="mild-pair-complex")
-
-
-def mild_pair_spectrum(signal: SampledSignal | None = None) -> SpectralDensity:
-    signal = signal if signal is not None else mild_pair_signal_real(None)
-    return spectrum(signal, band_limit=1.0)

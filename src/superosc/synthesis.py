@@ -21,6 +21,25 @@ evaluates only the Bessel branch of its own region (j0 where the radicand is
 >= 0, the scaled i0e inside the growth region), and a pair computes the
 carrier exp(i z k0/2) once for both components.
 
+Caching: the waveform is linear in its amplitude, and the amplitude enters
+the log-magnitude only as the additive constant log|amplitude| and the sign
+only as its sign.  So on a regular grid z_min + dz * arange(n) the costly
+parts are the same for every amplitude, and two bounded LRU caches hold
+them as read-only arrays:
+
+* ``_bessel_branches``, keyed by (inv_sq_delta, boost, band_limit, z_min,
+  dz, n), maxsize 8: the oscillatory-region mask, log|j0| and its sign on the
+  oscillatory points, and xi and log i0e(xi) on the growth points.  It wraps
+  ``_bessel_kernel``, the same kernel ``component_log`` runs uncached on
+  arbitrary points;
+* ``_grid_carrier``, keyed by (band_limit, z_min, dz, n), maxsize 4: the
+  carrier.
+
+``PairSynthesizer.sample``, ``sample_real`` and ``sample_component`` go
+through the caches.  Each call still adds log_pref to log|j0| and to xi,
+then adds log i0e, builds the signs and combines, in the same order as the
+uncached route, so the samples are bit-for-bit those of the uncached route.
+
 Contour shift: the circle integrand's modulus varies as
 exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
 ~sinh(A)/delta^2 * log10(e) digits to cancellation.  Because the integrand
@@ -40,7 +59,9 @@ honest-cancellation budget.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import i0e, j0
@@ -65,10 +86,14 @@ INTEGRAL_REL_TARGET = 1e-10
 _MACHINE_EPS = np.finfo(float).eps
 
 
+def _radicand(inv_sq_delta: float, boost: float, band_limit: float, z):
+    u = z * band_limit / inv_sq_delta
+    return 1.0 - u * math.cosh(boost) + 0.25 * u**2
+
+
 def radicand(p: SuperoscParams, z):
     """1 - delta^2 z k0 cosh A + delta^4 z^2 k0^2 / 4 (negative in the growth region)."""
-    u = np.asarray(z, dtype=float) * p.band_limit / p.inv_sq_delta
-    return 1.0 - u * math.cosh(p.boost) + 0.25 * u**2
+    return _radicand(p.inv_sq_delta, p.boost, p.band_limit, np.asarray(z, dtype=float))
 
 
 def growth_region(p: SuperoscParams) -> tuple[float, float]:
@@ -80,34 +105,88 @@ def growth_region(p: SuperoscParams) -> tuple[float, float]:
     return (s * math.exp(-p.boost), s * math.exp(p.boost))
 
 
-def _component_logmag_sign(p: SuperoscParams, z):
+class _Branches(NamedTuple):
+    """The amplitude-independent Bessel factor of one component on a set of points."""
+
+    oscillatory: np.ndarray  # radicand >= 0
+    log_abs_j0: np.ndarray   # log|j0| on the oscillatory points (-inf at a zero)
+    sign_j0: np.ndarray      # sign of j0 there, as int8
+    xi: np.ndarray           # i0e argument on the growth points, where radicand < 0
+    log_i0e: np.ndarray      # log i0e(xi) there
+
+
+def _bessel_kernel(inv_sq_delta: float, boost: float, band_limit: float, z) -> _Branches:
+    """The Bessel branches on points z; each point evaluates only its own branch.
+
+    j0 where the radicand is >= 0, the scaled i0e in the growth region.
+    """
+    rad = _radicand(inv_sq_delta, boost, band_limit, z)
+    oscillatory = rad >= 0.0
+    jval = j0(inv_sq_delta * np.sqrt(rad[oscillatory]))
+    with np.errstate(divide="ignore"):
+        log_abs_j0 = np.log(np.abs(jval))
+    xi = inv_sq_delta * np.sqrt(-rad[~oscillatory])
+    return _Branches(oscillatory, log_abs_j0, np.sign(jval).astype(np.int8),
+                     xi, np.log(i0e(xi)))
+
+
+def _grid(z_min: float, dz: float, n: int) -> np.ndarray:
+    return z_min + dz * np.arange(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _bessel_branches(inv_sq_delta: float, boost: float, band_limit: float,
+                     z_min: float, dz: float, n: int) -> _Branches:
+    """``_bessel_kernel`` on the grid z_min + dz * arange(n), cached read-only."""
+    branches = _bessel_kernel(inv_sq_delta, boost, band_limit, _grid(z_min, dz, n))
+    for arr in branches:
+        arr.flags.writeable = False
+    return branches
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_carrier(band_limit: float, z_min: float, dz: float, n: int) -> np.ndarray:
+    """exp(i z k0/2) on the grid z_min + dz * arange(n), cached read-only."""
+    carrier = np.exp(0.5j * _grid(z_min, dz, n) * band_limit)
+    carrier.flags.writeable = False
+    return carrier
+
+
+def _carrier(band_limit: float, z, grid: tuple | None = None) -> np.ndarray:
+    """exp(i z k0/2); ``grid`` as in ``_logmag_sign``."""
+    if grid is None:
+        return np.exp(0.5j * z * band_limit)
+    return _grid_carrier(band_limit, *grid)
+
+
+def _logmag_sign(p: SuperoscParams, z, grid: tuple | None = None):
     """One component without its carrier: value = sign * exp(logmag) * exp(i z k0/2).
 
     ``sign`` is the sign of the Bessel factor times the sign of the amplitude
-    (0 at an exact Bessel zero, where logmag is -inf).  Each point evaluates
-    only its own branch: j0 where the radicand is >= 0, i0e in the growth
-    region.
+    (0 at an exact Bessel zero, where logmag is -inf).  ``grid`` is
+    (z_min, dz, n) when z is that grid; its Bessel branches then come from
+    the cache.  p.amplitude must be nonzero.
     """
-    z = np.asarray(z, dtype=float)
-    if p.amplitude == 0.0:
-        return np.full(z.shape, -np.inf), np.zeros(z.shape)
-    rad = radicand(p, z)
+    if grid is None:
+        b = _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
+    else:
+        b = _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
     log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
-    inv2 = p.inv_sq_delta
-
     logmag = np.empty(z.shape)
     sign = np.ones(z.shape)
-    oscillatory = rad >= 0.0
-    growth = ~oscillatory
-    jval = j0(inv2 * np.sqrt(rad[oscillatory]))
-    with np.errstate(divide="ignore"):
-        logmag[oscillatory] = log_pref + np.log(np.abs(jval))
-    sign[oscillatory] = np.sign(jval)
-    xi = inv2 * np.sqrt(-rad[growth])
-    logmag[growth] = log_pref + xi + np.log(i0e(xi))
+    logmag[b.oscillatory] = log_pref + b.log_abs_j0
+    sign[b.oscillatory] = b.sign_j0
+    logmag[~b.oscillatory] = log_pref + b.xi + b.log_i0e
     if p.amplitude < 0.0:
         sign = -sign
     return logmag, sign
+
+
+def _component_log(p: SuperoscParams, z, grid: tuple | None = None):
+    if p.amplitude == 0.0:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
+    logmag, sign = _logmag_sign(p, z, grid)
+    return logmag, sign * _carrier(p.band_limit, z, grid)
 
 
 def component_log(p: SuperoscParams, z):
@@ -117,11 +196,7 @@ def component_log(p: SuperoscParams, z):
     Bessel factor, and the sign of the amplitude; its modulus is 1 (or 0 at
     an exact Bessel zero, where logmag is -inf).
     """
-    z = np.asarray(z, dtype=float)
-    if p.amplitude == 0.0:
-        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    logmag, sign = _component_logmag_sign(p, z)
-    return logmag, sign * np.exp(0.5j * z * p.band_limit)
+    return _component_log(p, np.asarray(z, dtype=float))
 
 
 def synth_bessel(p: SuperoscParams, z):
@@ -254,17 +329,18 @@ class PairSynthesizer:
     def extent(self) -> float:
         return self.p1.extent
 
-    def components_log(self, z, window: WindowSpec | None = None):
+    def components_log(self, z, window: WindowSpec | None = None, grid: tuple | None = None):
+        """(l1, u1, l2, u2) of the two components; ``grid`` as in ``_logmag_sign``."""
         z = np.asarray(z, dtype=float)
         if self.p1.amplitude == 0.0:
             # exact +0 units: a zero sign times the carrier leaves -0.0 parts
-            l1, u1 = component_log(self.p1, z)
-            l2, u2 = component_log(self.p2, z)
+            l1, u1 = _component_log(self.p1, z)
+            l2, u2 = _component_log(self.p2, z)
         else:
             # combine_pair guarantees a shared band limit, hence one carrier.
-            l1, s1 = _component_logmag_sign(self.p1, z)
-            l2, s2 = _component_logmag_sign(self.p2, z)
-            carrier = np.exp(0.5j * z * self.p1.band_limit)
+            l1, s1 = _logmag_sign(self.p1, z, grid)
+            l2, s2 = _logmag_sign(self.p2, z, grid)
+            carrier = _carrier(self.p1.band_limit, z, grid)
             u1 = s1 * carrier
             u2 = s2 * carrier
         u2 = u2 * (1j * self.branch)
@@ -297,8 +373,8 @@ class PairSynthesizer:
         window: WindowSpec | None = None,
         label: str = "",
     ) -> SampledSignal:
-        z = z_min + dz * np.arange(n)
-        vals = self._combine(*self.components_log(z, window))
+        z = _grid(z_min, dz, n)
+        vals = self._combine(*self.components_log(z, window, (z_min, dz, n)))
         route = "combined" if window is None else "windowed"
         return SampledSignal(z_min=z_min, dz=dz, values=vals, route=route,
                              k_max=self.k_max, label=label)
@@ -312,8 +388,8 @@ class PairSynthesizer:
         label: str = "",
     ) -> SampledSignal:
         """Imaginary part of the combination: ~ amplitude*sin(k' z) in-window."""
-        z = z_min + dz * np.arange(n)
-        vals = np.imag(self._combine(*self.components_log(z, window)))
+        z = _grid(z_min, dz, n)
+        vals = np.imag(self._combine(*self.components_log(z, window, (z_min, dz, n))))
         route = "combined" if window is None else "windowed"
         return SampledSignal(z_min=z_min, dz=dz, values=vals, route=route,
                              k_max=self.k_max, label=label)
@@ -373,8 +449,8 @@ def sample_component(
     label: str = "",
 ) -> SampledSignal:
     """Sample one component (closed-form route), optionally windowed in log space."""
-    z = z_min + dz * np.arange(n)
-    logmag, unit = component_log(p, z)
+    z = _grid(z_min, dz, n)
+    logmag, unit = _component_log(p, z, (z_min, dz, n))
     if window is not None and not window.is_identity:
         logmag = logmag + window.log_profile(z)
         route = "windowed"

@@ -1,0 +1,116 @@
+"""The amplitude-independent caches of synthesis and energy.
+
+Each cached sample must equal the uncached evaluation of the same points
+exactly, whatever amplitude filled the cache first, and every cached array
+must be read-only so that no caller can corrupt the next one's result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from superosc import SuperoscParams, combine_pair, compute_I3, presets, sample_component
+from superosc import energy, synthesis
+from superosc.energy import sine_overlap_denominator
+from superosc.field import ModeGrid
+from superosc.synthesis import component_log, growth_region
+
+AMPLITUDES = (1e-4, 3e-3, -1.0, 0.0)
+SYNTH_CACHES = (synthesis._bessel_branches, synthesis._grid_carrier)
+
+
+def _clear():
+    for cache in SYNTH_CACHES:
+        cache.cache_clear()
+
+
+def _pair_grid(pair):
+    """A grid straddling both edges of both components' growth regions."""
+    lo = min(growth_region(pair.p1)[0], growth_region(pair.p2)[0])
+    hi = max(growth_region(pair.p1)[1], growth_region(pair.p2)[1])
+    z_min, dz = lo - 30.0, presets.MILD_PAIR_DZ
+    return z_min, dz, int((hi + 30.0 - z_min) / dz)
+
+
+def _component_reference(p, z, window):
+    """sample_component's values from the uncached component_log."""
+    logmag, unit = component_log(p, z)
+    if window is not None:
+        logmag = logmag + window.log_profile(z)
+    return unit * np.exp(logmag)
+
+
+@pytest.mark.parametrize("window", [None, presets.MILD_PAIR_WINDOW])
+def test_cached_pair_samples_equal_uncached(window):
+    _clear()
+    for repeat in range(2):  # cold, then warm
+        for amplitude in AMPLITUDES:
+            pair = presets.mild_pair(amplitude)
+            z_min, dz, n = _pair_grid(pair)
+            z = z_min + dz * np.arange(n)
+            ref = pair(z, window)
+            assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
+            assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
+                                  np.imag(ref))
+    assert synthesis._bessel_branches.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("window", [None, presets.MILD_WINDOW])
+def test_cached_component_samples_equal_uncached(window):
+    _clear()
+    for repeat in range(2):
+        for amplitude in AMPLITUDES:
+            p = presets.mild_component(amplitude)
+            z_lo, z_hi = growth_region(p)
+            z_min, dz = z_lo - 20.0, presets.MILD_DZ
+            n = int((z_hi + 20.0 - z_min) / dz)
+            z = z_min + dz * np.arange(n)
+            got = sample_component(p, z_min, dz, n, window=window).values
+            assert np.array_equal(got, _component_reference(p, z, window))
+    assert synthesis._grid_carrier.cache_info().hits > 0
+
+
+def test_cached_arrays_are_read_only():
+    _clear()
+    pair = presets.mild_pair(1.0)
+    z_min, dz, n = _pair_grid(pair)
+    pair.sample(z_min, dz, n)
+    for p in (pair.p1, pair.p2):
+        branches = synthesis._bessel_branches(p.inv_sq_delta, p.boost, p.band_limit,
+                                              z_min, dz, n)
+        assert branches.oscillatory.any() and not branches.oscillatory.all()
+        for arr in branches:
+            assert arr.flags.writeable is False
+    assert synthesis._grid_carrier(pair.p1.band_limit, z_min, dz, n).flags.writeable is False
+    assert synthesis._bessel_branches.cache_info().hits == 2
+
+
+def test_boost_ladder_on_one_grid_stays_exact_and_bounded():
+    # one grid for every boost, so only the boost tells the cache entries apart
+    _clear()
+    z_min, dz, n = -12.0, 0.05, 400
+    z = z_min + dz * np.arange(n)
+    for boost in np.arccosh(np.linspace(1.5, 5.0, 20)):
+        p1, p2 = SuperoscParams.locked_pair(2000, amplitude=1e-3, boost=float(boost),
+                                            extent=10.0)
+        pair = combine_pair(p1, p2, branch=+1)
+        assert np.array_equal(pair.sample(z_min, dz, n).values, pair(z))
+    for cache in SYNTH_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_cached_i3_equals_uncached_integral():
+    energy._i3_integral.cache_clear()
+    gap, uv = 2.0, 50.0
+    for theta_over_pi in (40.0, 100.0):
+        t = theta_over_pi * math.pi / gap
+        integral = energy._i3_integral.__wrapped__(uv, gap, t, energy._I3_N_PER_PERIOD)
+        for box, amplitude in ((1e4, 1.0), (1e5, 1e-3), (1e4, 1.0)):
+            grid = ModeGrid.for_box(box, k_cut=2.0, uv_cutoff=uv)
+            denom = sine_overlap_denominator(gap, t, amplitude)
+            assert compute_I3(grid, gap, t, denom) == integral / (box**2 * denom)
+    info = energy._i3_integral.cache_info()
+    assert info.misses == 2 and info.hits == 4
+    assert info.currsize <= info.maxsize

@@ -237,6 +237,22 @@ def test_sweep_delta_ladder_window_extent(tmp_path):
     assert all(pt["payload"]["certificate_ok"] for pt in points)
 
 
+@pytest.mark.parametrize("ladder", ["list:5,nan", "lin:1:inf:3"])
+def test_sweep_non_finite_ladder_exits_2(ladder, tmp_path, capsys):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(
+        "[run]\nexperiment = sweep\n"
+        "[superosc]\nm_phase = 2000\nboost_arccosh = 3\nextent = 50\n"
+        f"[sweep]\nextent = {ladder}\n"
+    )
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "not a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_boost_window_stays_at_band_limit(tmp_path):
     # degenerate pair: no superoscillation, window frequency = k0
     cfg = tmp_path / "a0.cfg"
@@ -284,6 +300,7 @@ def test_malformed_config_exits_2(tmp_path):
     ("synth.cfg", "grid", "dz", "nan"),
     ("detune.cfg", "detune", "probes_rel", "0.8,-inf"),
     ("detune.cfg", "particle", "gap", "nan"),
+    ("transition.cfg", "particle", "gap", "-1"),
 ])
 def test_non_finite_config_value_exits_2(fixture, section, key, value, tmp_path, capsys):
     cfg = tmp_path / fixture
