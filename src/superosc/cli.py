@@ -39,7 +39,7 @@ from .energy import compute_I3, energy_balance, i2_over_gap, sine_overlap_denomi
 from .errors import BalanceViolation, ConfigError, SuperoscError
 from .field import ModeGrid, amplitudes_from_spectrum
 from .frequency import frequency_profile, window_frequency
-from .params import SuperoscParams, WindowSpec
+from .params import MAX_COUNT, SuperoscParams, WindowSpec, locked_delta
 from .signal import SampledSignal
 from .spectral import parseval_residual, spectrum
 from .synthesis import PairSynthesizer, combine_pair, make_real_superosc, sample_component, synth_bessel
@@ -73,7 +73,7 @@ class RunRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _format_column(col: np.ndarray) -> list[str]:
@@ -116,135 +116,203 @@ def config_hash(cfg: dict[str, dict[str, str]]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class _Block:
-    """One config section with typed getters and precise error messages."""
-
-    def __init__(self, cfg: dict, section: str):
-        self._cfg = cfg
-        self._section = section
-        self._kv = cfg.get(section, {})
-
-    def has(self, key: str) -> bool:
-        return key in self._kv
-
-    def _fetch(self, key, default, required):
-        if key not in self._kv:
-            if required:
-                raise ConfigError(f"missing key [{self._section}] {key}")
-            return None, default
-        return self._kv[key], default
-
-    def get_float(self, key, default=None, required=False) -> float:
-        raw, dflt = self._fetch(key, default, required)
-        if raw is None:
-            return dflt
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a number") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a finite number")
-        return value
-
-    def get_int(self, key, default=None, required=False) -> int:
-        raw, dflt = self._fetch(key, default, required)
-        if raw is None:
-            return dflt
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not an integer") from exc
-
-    def get_str(self, key, default=None, required=False) -> str:
-        raw, dflt = self._fetch(key, default, required)
-        return dflt if raw is None else raw.strip()
-
-    def get_bool(self, key, default=False) -> bool:
-        raw = self._kv.get(key)
-        if raw is None:
-            return default
-        norm = raw.strip().lower()
-        if norm in ("1", "true", "yes", "on"):
-            return True
-        if norm in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a boolean")
-
-    def get_floats(self, key, default=None, required=False) -> list[float]:
-        raw, dflt = self._fetch(key, default, required)
-        if raw is None:
-            return dflt
-        try:
-            values = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a float list") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[{self._section}] {key} = {raw!r}: not a finite float list")
-        return values
+# Every config key, one row each: (section, key) -> (kind, default, range).
+# A key left out of the file takes its default; a row without one (None) is
+# optional, or required by the experiment that reads it (see ``_need``).
+# Ranges are intervals with "[" "]" inclusive and "(" ")" exclusive ends; each
+# count is bounded here or where it is derived, before anything is allocated.
+_MAX_SWEEP_POINTS = 100_000  # per ladder and for their Cartesian product
+_KEYS = {
+    ("run", "experiment"): ("str", None, None),
+    ("run", "seed"): ("int", 0, None),
+    ("output", "dir"): ("str", None, None),
+    ("superosc", "amplitude"): ("float", 1.0, None),
+    ("superosc", "boost"): ("float", None, None),  # required without boost_arccosh
+    ("superosc", "boost_arccosh"): ("float", None, "[1, inf)"),
+    ("superosc", "band_limit"): ("float", 1.0, None),
+    ("superosc", "extent"): ("float", None, None),  # required
+    ("superosc", "branch_sign"): ("int", +1, None),
+    ("superosc", "window_criterion"): ("float", 0.1, None),
+    ("superosc", "m_phase"): ("int", None, None),  # required by pair experiments
+    ("superosc", "delta"): ("float", None, None),  # required by synth without m_phase
+    ("window", "half_width"): ("float", 0.0, "[0, inf)"),
+    ("grid", "z_min"): ("float", None, None),  # [grid] keys: required where a grid is read
+    ("grid", "n_samples"): ("int", None, f"[2, {MAX_COUNT}]"),
+    ("grid", "dz"): ("float", None, "(0, inf)"),  # or box_length
+    ("grid", "box_length"): ("float", None, "(0, inf)"),
+    ("spectrum", "eps_band"): ("float", 1e-4, None),
+    ("freqmap", "window_fraction"): ("float", 0.8, "(0, 1]"),
+    ("particle", "gap"): ("gap", "matched", "(0, inf)"),
+    ("particle", "coupling"): ("float", 1.0, None),
+    ("particle", "detector_z"): ("float", 0.0, None),
+    ("transition", "t_lo_periods"): ("float", 5.0, None),
+    ("transition", "t_hi"): ("float", None, None),  # defaults to the pair's extent
+    ("transition", "n_points"): ("int", 48, "[2, 4096]"),
+    ("transition", "assert_quadratic"): ("bool", False, None),
+    ("transition", "exponent_range"): ("floats", (1.95, 2.05), None),
+    ("transition", "max_residual"): ("float", 0.05, None),
+    ("detune", "probes_rel"): ("floats", (0.8, 1.2, 1.6), None),
+    ("detune", "theta_over_pi"): ("float", 100.0, None),
+    ("modes", "uv_cutoff"): ("float", None, "(0, inf)"),  # required by energy, box_length
+    ("energy", "theta_over_pi"): ("float", 100.0, None),
+    ("energy", "max_residual"): ("float", 0.05, None),
+    ("energy", "ladder_over_pi"): ("floats", (40.0, 100.0, 400.0), None),
+    ("sweep", "shuffle"): ("bool", False, None),
+    **{("sweep", key): ("ladder", None, None) for key in ("m_phase", "boost", "boost_arccosh",
+                                                          "extent", "amplitude", "box_length",
+                                                          "theta_over_pi")},
+}
+_SECTIONS = {section for section, _ in _KEYS}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _boost_from(block: _Block, default: float | None = None) -> float:
-    if block.has("boost_arccosh"):
-        return math.acosh(block.get_float("boost_arccosh"))
-    return block.get_float("boost", default=default, required=default is None)
-
-
-def _component_from(cfg: dict) -> SuperoscParams:
-    so = _Block(cfg, "superosc")
-    kwargs = dict(
-        amplitude=so.get_float("amplitude", 1.0),
-        boost=_boost_from(so),
-        band_limit=so.get_float("band_limit", 1.0),
-        extent=so.get_float("extent", required=True),
-        branch_sign=so.get_int("branch_sign", +1),
-        window_criterion=so.get_float("window_criterion", 0.1),
-    )
+def _number(text: str) -> float:
     try:
-        if so.has("m_phase"):
-            return SuperoscParams.phase_locked(so.get_int("m_phase"), **kwargs)
-        return SuperoscParams(delta=so.get_float("delta", required=True), **kwargs)
+        value = float(text)
+    except ValueError:
+        raise ValueError("not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _ladder(text: str) -> list[float]:
+    """``lin:lo:hi:n``, ``log:lo:hi:n`` or ``list:a,b,...``."""
+    kind, _, spec = text.lower().partition(":")
+    if kind == "list":
+        return [_number(x) for x in spec.split(",") if x.strip()]
+    if kind not in ("lin", "log"):
+        raise ValueError("kind must be lin|log|list")
+    try:
+        lo, hi, n = spec.split(":")
+        n = int(n)
+    except ValueError:
+        raise ValueError("malformed ladder") from None
+    if not 0 <= n <= _MAX_SWEEP_POINTS:
+        raise ValueError(f"count not in [0, {_MAX_SWEEP_POINTS}]")
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        values = [float(v) for v in (np.linspace if kind == "lin" else np.geomspace)(
+            _number(lo), _number(hi), n)]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("not a finite number")
+    return values
+
+
+def _typed(kind: str, text: str):
+    """One stripped config string as a value of its row's kind."""
+    if kind == "float" or (kind == "gap" and text != "matched"):
+        return _number(text)
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError("not an integer") from None
+    if kind == "bool":
+        if text.lower() not in _BOOLS:
+            raise ValueError("not a boolean")
+        return _BOOLS[text.lower()]
+    if kind == "floats":
+        return [_number(tok) for tok in text.split(",") if tok.strip()]
+    if kind == "ladder":
+        return _ladder(text)
+    return text  # str, and gap = matched
+
+
+def _within(span: str, value) -> bool:
+    lo, hi = (float(end) for end in span[1:-1].split(","))
+    return ((lo < value if span[0] == "(" else lo <= value)
+            and (value < hi if span[-1] == ")" else value <= hi))
+
+
+def _parse(cfg: dict[str, dict[str, str]]) -> dict[str, dict]:
+    """Typed values of every key in the file, plus every default, by ``_KEYS``."""
+    conf: dict[str, dict] = {}
+    for section, kv in cfg.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        conf[section] = {}
+        for key, raw in kv.items():
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            kind, _, span = _KEYS[section, key]
+            try:
+                value = _typed(kind, raw.strip())
+                if span and not isinstance(value, str) and not _within(span, value):
+                    raise ValueError(f"not in {span}")
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+            conf[section][key] = value
+    for (section, key), (_, default, _) in _KEYS.items():
+        if default is not None:
+            conf.setdefault(section, {}).setdefault(key, default)
+    return conf
+
+
+def _need(conf: dict, section: str, key: str):
+    try:
+        return conf[section][key]
+    except KeyError:
+        raise ConfigError(f"missing key [{section}] {key}") from None
+
+
+def _boost(conf: dict, point: dict):
+    """A swept boost, else a swept or configured boost_arccosh, else [superosc] boost."""
+    if "boost" in point:
+        return point["boost"]
+    arccosh = point.get("boost_arccosh", conf["superosc"].get("boost_arccosh"))
+    if arccosh is not None:
+        return math.acosh(arccosh)
+    return _need(conf, "superosc", "boost")
+
+
+def _knobs(conf: dict, point: dict | None = None) -> dict:
+    """SuperoscParams keywords from [superosc], with a sweep point's values in place."""
+    so, point = conf["superosc"], point or {}
+    return dict(
+        amplitude=point.get("amplitude", so["amplitude"]),
+        boost=_boost(conf, point),
+        band_limit=so["band_limit"],
+        extent=point["extent"] if "extent" in point else _need(conf, "superosc", "extent"),
+        window_criterion=so["window_criterion"],
+    )
+
+
+def _component_from(conf: dict) -> SuperoscParams:
+    so = conf["superosc"]
+    kwargs = dict(_knobs(conf), branch_sign=so["branch_sign"])
+    delta = None if "m_phase" in so else _need(conf, "superosc", "delta")
+    try:
+        if delta is None:
+            return SuperoscParams.phase_locked(so["m_phase"], **kwargs)
+        return SuperoscParams(delta=delta, **kwargs)
     except (ValueError, SuperoscError) as exc:
         raise ConfigError(f"[superosc]: {exc}") from exc
 
 
-def _pair_from(cfg: dict) -> PairSynthesizer:
-    so = _Block(cfg, "superosc")
-    if not so.has("m_phase"):
+def _pair_from(conf: dict) -> PairSynthesizer:
+    so = conf["superosc"]
+    if "m_phase" not in so:
         raise ConfigError("missing key [superosc] m_phase (pair experiments need the phase lock)")
-    kwargs = dict(
-        amplitude=so.get_float("amplitude", 1.0),
-        boost=_boost_from(so),
-        band_limit=so.get_float("band_limit", 1.0),
-        extent=so.get_float("extent", required=True),
-        window_criterion=so.get_float("window_criterion", 0.1),
-    )
+    kwargs = _knobs(conf)
     try:
-        p1, p2 = SuperoscParams.locked_pair(so.get_int("m_phase"), **kwargs)
-        return combine_pair(p1, p2, branch=so.get_int("branch_sign", +1))
+        p1, p2 = SuperoscParams.locked_pair(so["m_phase"], **kwargs)
+        return combine_pair(p1, p2, branch=so["branch_sign"])
     except (ValueError, SuperoscError) as exc:
         raise ConfigError(f"[superosc]: {exc}") from exc
 
 
-def _window_from(cfg: dict) -> WindowSpec:
-    w = _Block(cfg, "window")
-    try:
-        return WindowSpec(half_width=w.get_float("half_width", 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"[window]: {exc}") from exc
+def _window_from(conf: dict) -> WindowSpec:
+    return WindowSpec(half_width=conf["window"]["half_width"])
 
 
-def _grid_from(cfg: dict, pair_k_max: float | None = None):
-    g = _Block(cfg, "grid")
-    z_min = g.get_float("z_min", required=True)
-    n = g.get_int("n_samples", required=True)
-    if g.has("dz"):
-        dz = g.get_float("dz")
-    elif g.has("box_length"):
-        dz = g.get_float("box_length") / n
-    else:
+def _grid_from(conf: dict, pair_k_max: float | None = None):
+    z_min = _need(conf, "grid", "z_min")
+    n = _need(conf, "grid", "n_samples")
+    g = conf["grid"]
+    if "dz" not in g and "box_length" not in g:
         raise ConfigError("missing key [grid] dz (or box_length)")
-    if n < 2:
-        raise ConfigError("[grid] n_samples must be >= 2")
+    dz = g["dz"] if "dz" in g else g["box_length"] / n
     if pair_k_max is not None and dz > math.pi / (4.0 * pair_k_max):
         raise ConfigError(
             f"[grid] dz = {dz:g} too coarse for k_max = {pair_k_max:g} "
@@ -253,21 +321,10 @@ def _grid_from(cfg: dict, pair_k_max: float | None = None):
     return z_min, dz, n
 
 
-def _resolve_gap(cfg: dict, pair: PairSynthesizer) -> float:
+def _resolve_gap(conf: dict, pair: PairSynthesizer) -> float:
     """'matched' resolves to the pair's window frequency (times c = 1)."""
-    p = _Block(cfg, "particle")
-    raw = p.get_str("gap", "matched")
-    if raw == "matched":
-        return pair.wavenumber
-    try:
-        gap = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[particle] gap = {raw!r}: use 'matched' or a number") from exc
-    if not math.isfinite(gap):
-        raise ConfigError(f"[particle] gap = {raw!r}: not a finite number")
-    if gap <= 0.0:
-        raise ConfigError(f"[particle] gap = {raw!r}: must be > 0")
-    return gap
+    gap = conf["particle"]["gap"]
+    return pair.wavenumber if gap == "matched" else gap
 
 
 def _focused_grid(pair: PairSynthesizer, pad: float = 1.0):
@@ -275,6 +332,8 @@ def _focused_grid(pair: PairSynthesizer, pad: float = 1.0):
     dz = math.pi / (8.0 * pair.k_max)
     z_min = -pair.extent - pad
     n = int(math.ceil((pair.extent + 2.0 * pad) / dz)) + 1
+    if n > MAX_COUNT:
+        raise ValueError(f"focused grid of {n} samples exceeds {MAX_COUNT}")
     return z_min, dz, n
 
 
@@ -288,10 +347,10 @@ def _region_labels(z: np.ndarray, p: SuperoscParams) -> np.ndarray:
     return regions
 
 
-def run_synth(cfg: dict) -> RunRecord:
-    p = _component_from(cfg)
-    window = _window_from(cfg)
-    z_min, dz, n = _grid_from(cfg, p.superosc_wavenumber(+1))
+def run_synth(conf: dict) -> RunRecord:
+    p = _component_from(conf)
+    window = _window_from(conf)
+    z_min, dz, n = _grid_from(conf, p.superosc_wavenumber(+1))
     sig = sample_component(p, z_min, dz, n, window=window, label="synth")
     z = sig.z
     v = sig.values
@@ -338,13 +397,12 @@ def run_synth(cfg: dict) -> RunRecord:
     return rec
 
 
-def run_spectrum(cfg: dict) -> RunRecord:
-    pair = _pair_from(cfg)
-    window = _window_from(cfg)
-    z_min, dz, n = _grid_from(cfg, pair.k_max)
+def run_spectrum(conf: dict) -> RunRecord:
+    pair = _pair_from(conf)
+    window = _window_from(conf)
+    z_min, dz, n = _grid_from(conf, pair.k_max)
     sig = pair.sample(z_min, dz, n, window=window, label="spectrum")
-    sd = spectrum(sig, band_limit=pair.p1.band_limit,
-                  eps_band=_Block(cfg, "spectrum").get_float("eps_band", 1e-4))
+    sd = spectrum(sig, band_limit=pair.p1.band_limit, eps_band=conf["spectrum"]["eps_band"])
     kappa = window.half_width
     frac = sd.band_energy_fraction(-kappa, sd.band_limit + kappa)
     payload = {
@@ -369,16 +427,13 @@ def run_spectrum(cfg: dict) -> RunRecord:
     return rec
 
 
-def run_freq_map(cfg: dict) -> RunRecord:
-    pair = _pair_from(cfg)
-    window = _window_from(cfg)
-    if "grid" in cfg:
-        z_min, dz, n = _grid_from(cfg, pair.k_max)
-    else:
-        z_min, dz, n = _focused_grid(pair)
+def run_freq_map(conf: dict) -> RunRecord:
+    pair = _pair_from(conf)
+    window = _window_from(conf)
+    z_min, dz, n = _grid_from(conf, pair.k_max) if "grid" in conf else _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, window=window if not window.is_identity else None,
                       label="freq-map")
-    frac = _Block(cfg, "freqmap").get_float("window_fraction", 0.8)
+    frac = conf["freqmap"]["window_fraction"]
     zc = pair.extent
     lo, hi = -0.5 * (1 + frac) * zc, -0.5 * (1 - frac) * zc
     measured = window_frequency(sig, lo, hi)
@@ -398,29 +453,24 @@ def run_freq_map(cfg: dict) -> RunRecord:
     return rec
 
 
-def _real_signal_from(cfg: dict, pair: PairSynthesizer) -> SampledSignal:
-    window = _window_from(cfg)
-    z_min, dz, n = _grid_from(cfg, pair.k_max)
-    return make_real_superosc(pair, pair.wavenumber, z_min, dz, n,
-                              window=window, label="real")
+def _real_signal_from(conf: dict, pair: PairSynthesizer) -> SampledSignal:
+    return make_real_superosc(pair, pair.wavenumber, *_grid_from(conf, pair.k_max),
+                              window=_window_from(conf), label="real")
 
 
-def run_transition(cfg: dict) -> RunRecord:
-    pair = _pair_from(cfg)
-    sig = _real_signal_from(cfg, pair)
-    gap = _resolve_gap(cfg, pair)
-    pblock = _Block(cfg, "particle")
-    particle = TwoLevelParticle(gap_frequency=gap,
-                                coupling=pblock.get_float("coupling", 1.0),
-                                detector_z=pblock.get_float("detector_z", 0.0))
-    tr = _Block(cfg, "transition")
-    t_lo = tr.get_float("t_lo_periods", 5.0) * 2.0 * math.pi / gap
-    t_hi = tr.get_float("t_hi", pair.extent)
-    n_points = tr.get_int("n_points", 48)
+def run_transition(conf: dict) -> RunRecord:
+    pair = _pair_from(conf)
+    sig = _real_signal_from(conf, pair)
+    gap = _resolve_gap(conf, pair)
+    particle = TwoLevelParticle(gap_frequency=gap, coupling=conf["particle"]["coupling"],
+                                detector_z=conf["particle"]["detector_z"])
+    tr = conf["transition"]
+    t_lo = tr["t_lo_periods"] * 2.0 * math.pi / gap
+    t_hi = tr.get("t_hi", pair.extent)
     if t_hi <= t_lo:
         raise ConfigError("[transition] empty fit window: t_hi <= 5 periods; "
                           "increase extent or t_hi")
-    times = np.geomspace(t_lo, t_hi, n_points)
+    times = np.geomspace(t_lo, t_hi, tr["n_points"])
     curve = probability_curve(sig, particle, times, label="transition")
     fit = fit_exponent(curve, (t_lo, t_hi))
     amp = matched_sine_amplitude(sig, gap, -pair.extent, 0.0)
@@ -448,9 +498,9 @@ def run_transition(cfg: dict) -> RunRecord:
                     warnings=warnings)
     rec.series = {"t": times, "P": curve.values,
                   "breakdown": curve.breakdown.astype(int)}
-    if tr.get_bool("assert_quadratic", False):
-        lo, hi = tr.get_floats("exponent_range", [1.95, 2.05])
-        max_resid = tr.get_float("max_residual", 0.05)
+    if tr["assert_quadratic"]:
+        lo, hi = tr["exponent_range"]
+        max_resid = tr["max_residual"]
         if not (lo <= fit.exponent <= hi) or fit.residual_rms > max_resid:
             raise BalanceViolation(
                 f"quadratic-law assertion failed: exponent {fit.exponent:.4f} "
@@ -459,17 +509,15 @@ def run_transition(cfg: dict) -> RunRecord:
     return rec
 
 
-def run_detune(cfg: dict) -> RunRecord:
-    pair = _pair_from(cfg)
-    sig = _real_signal_from(cfg, pair)
-    gap = _resolve_gap(cfg, pair)
-    det = _Block(cfg, "detune")
-    probes_rel = det.get_floats("probes_rel", [0.8, 1.2, 1.6])
-    theta_over_pi = det.get_float("theta_over_pi", 100.0)
+def run_detune(conf: dict) -> RunRecord:
+    pair = _pair_from(conf)
+    sig = _real_signal_from(conf, pair)
+    gap = _resolve_gap(conf, pair)
+    probes_rel = conf["detune"]["probes_rel"]
+    theta_over_pi = conf["detune"]["theta_over_pi"]
     t = theta_over_pi * math.pi / gap
-    coupling = _Block(cfg, "particle").get_float("coupling", 1.0)
     gaps = np.array([gap] + [gap * r for r in probes_rel])
-    scan = detuning_scan(sig, gaps, t, coupling=coupling)
+    scan = detuning_scan(sig, gaps, t, coupling=conf["particle"]["coupling"])
     ratios = {
         f"{r:g}": float(scan.probabilities[0] / scan.probabilities[i + 1])
         for i, r in enumerate(probes_rel)
@@ -487,29 +535,25 @@ def run_detune(cfg: dict) -> RunRecord:
     return rec
 
 
-def run_energy(cfg: dict) -> RunRecord:
-    pair = _pair_from(cfg)
-    sig = _real_signal_from(cfg, pair)
-    gap = _resolve_gap(cfg, pair)
-    coupling = _Block(cfg, "particle").get_float("coupling", 1.0)
-    particle = TwoLevelParticle(gap_frequency=gap, coupling=coupling)
-    modes = _Block(cfg, "modes")
-    uv = modes.get_float("uv_cutoff", required=True)
+def run_energy(conf: dict) -> RunRecord:
+    pair = _pair_from(conf)
+    sig = _real_signal_from(conf, pair)
+    gap = _resolve_gap(conf, pair)
+    particle = TwoLevelParticle(gap_frequency=gap, coupling=conf["particle"]["coupling"])
+    uv = _need(conf, "modes", "uv_cutoff")
     grid = ModeGrid.for_signal(sig, uv_cutoff=uv)
     sd = spectrum(sig, band_limit=pair.p1.band_limit)
     ca = amplitudes_from_spectrum(sd, grid)
     amp = matched_sine_amplitude(sig, gap, -pair.extent, 0.0)
 
-    en = _Block(cfg, "energy")
-    theta_over_pi = en.get_float("theta_over_pi", 100.0)
-    max_residual = en.get_float("max_residual", 0.05)
+    en = conf["energy"]
+    theta_over_pi = en["theta_over_pi"]
     t = theta_over_pi * math.pi / gap
     report = energy_balance(ca, particle, t, grid, amplitude=amp,
-                            max_residual=max_residual)
+                            max_residual=en["max_residual"])
 
-    ladder_over_pi = en.get_floats("ladder_over_pi", [40.0, 100.0, 400.0])
     ladder = []
-    for tp in ladder_over_pi:
+    for tp in en["ladder_over_pi"]:
         th = tp * math.pi
         i2 = i2_over_gap(th)
         i3 = compute_I3(grid, gap, th / gap,
@@ -537,55 +581,18 @@ def run_energy(cfg: dict) -> RunRecord:
 
 # ---------------------------------------------------------------- sweep --
 
-_SWEEP_KEYS = ("m_phase", "boost", "boost_arccosh", "extent", "amplitude",
-               "box_length", "theta_over_pi")
 
-
-def _parse_ladder(section: str, key: str, raw: str) -> list[float]:
-    tok = raw.strip().split(":")
-    kind = tok[0].lower()
-    if kind not in ("lin", "log", "list"):
-        raise ConfigError(f"[{section}] {key} = {raw!r}: kind must be lin|log|list")
-    try:
-        if kind == "list":
-            values = [float(x) for x in tok[1].split(",") if x.strip()]
-        else:
-            lo, hi, n = float(tok[1]), float(tok[2]), int(tok[3])
-            if n < 0:
-                raise ValueError("negative count")
-            fn = np.linspace if kind == "lin" else np.geomspace
-            with np.errstate(all="ignore"):  # a non-finite value is reported below
-                values = [float(v) for v in fn(lo, hi, n)] if n else []
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: malformed ladder") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
-    return values
-
-
-def _sweep_point(cfg: dict, point: dict) -> dict:
+def _sweep_point(conf: dict, point: dict) -> dict:
     """One sweep evaluation: waveform certificate (+ ledger terms if swept)."""
-    so = _Block(cfg, "superosc")
-    boost = point.get("boost")
-    if boost is None and "boost_arccosh" in point:
-        boost = math.acosh(point["boost_arccosh"])
-    if boost is None:
-        boost = _boost_from(so)
-    m_phase = int(point.get("m_phase", so.get_int("m_phase", required=True)))
-    amplitude = float(point.get("amplitude", so.get_float("amplitude", 1.0)))
-    band_limit = so.get_float("band_limit", 1.0)
-    criterion = so.get_float("window_criterion", 0.1)
-
-    from .params import locked_delta
-
+    m_phase = int(point["m_phase"] if "m_phase" in point else _need(conf, "superosc", "m_phase"))
+    kwargs = _knobs(conf, point)
     delta1 = locked_delta(m_phase, "quarter")
-    admissible = criterion / (delta1**2 * band_limit * math.cosh(boost))
-    extent = float(point.get("extent", min(so.get_float("extent", required=True),
-                                           0.9 * admissible)))
-    p1, p2 = SuperoscParams.locked_pair(
-        m_phase, amplitude=amplitude, boost=boost, band_limit=band_limit,
-        extent=extent, window_criterion=criterion
-    )
+    admissible = kwargs["window_criterion"] / (
+        delta1**2 * kwargs["band_limit"] * math.cosh(kwargs["boost"]))
+    if "extent" not in point:
+        kwargs["extent"] = min(kwargs["extent"], 0.9 * admissible)
+    extent = kwargs["extent"]
+    p1, p2 = SuperoscParams.locked_pair(m_phase, **kwargs)
     pair = combine_pair(p1, p2, branch=+1)
     z_min, dz, n = _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, label="sweep")
@@ -594,7 +601,7 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     target = pair.wavenumber
     out = {
         "m_phase": m_phase,
-        "boost": boost,
+        "boost": kwargs["boost"],
         "delta1": delta1,
         "extent": extent,
         "max_admissible_extent": admissible,
@@ -608,47 +615,43 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     if "box_length" in point:
         gap = target
         t = 100.0 * math.pi / gap
-        grid = ModeGrid.for_box(point["box_length"], k_cut=2.0 * band_limit,
-                                uv_cutoff=_Block(cfg, "modes").get_float("uv_cutoff", 50.0))
-        out["i3_over_gap"] = compute_I3(
-            grid, gap, t, sine_overlap_denominator(gap, t, 1.0)
-        ) / gap
+        grid = ModeGrid.for_box(point["box_length"], k_cut=2.0 * kwargs["band_limit"],
+                                uv_cutoff=conf["modes"]["uv_cutoff"])
+        out["i3_over_gap"] = compute_I3(grid, gap, t, sine_overlap_denominator(gap, t, 1.0)) / gap
     return out
 
 
-def run_sweep(cfg: dict) -> tuple[RunRecord, list[dict]]:
-    sw = dict(cfg.get("sweep", {}))
-    shuffle = sw.pop("shuffle", "false").strip().lower() in ("1", "true", "yes", "on")
-    keys = [k for k in sw if k in _SWEEP_KEYS]
-    unknown = [k for k in sw if k not in _SWEEP_KEYS]
-    if unknown:
-        raise ConfigError(f"[sweep] unknown ladder keys: {', '.join(sorted(unknown))}")
-    ladders = {k: _parse_ladder("sweep", k, sw[k]) for k in keys}
-    points: list[dict] = [{}]
+def run_sweep(conf: dict) -> tuple[RunRecord, list[dict]]:
+    ladders = {k: v for k, v in conf["sweep"].items() if k != "shuffle"}
+    keys = list(ladders)
+    if "box_length" in ladders:
+        _need(conf, "modes", "uv_cutoff")
+    if math.prod(len(v) for v in ladders.values()) > _MAX_SWEEP_POINTS:
+        raise ConfigError(f"[sweep] more than {_MAX_SWEEP_POINTS} points")
+    points: list[dict] = [{}] if all(ladders.values()) else []
     for k in keys:  # Cartesian product in declaration order
         points = [dict(pt, **{k: v}) for pt in points for v in ladders[k]]
-    if any(len(v) == 0 for v in ladders.values()):
-        points = []
 
     order = list(range(len(points)))
-    if shuffle:
+    if conf["sweep"]["shuffle"]:
         import random
 
-        random.Random(_Block(cfg, "run").get_int("seed", 0)).shuffle(order)
+        random.Random(conf["run"]["seed"]).shuffle(order)
 
     results: dict[int, dict] = {}
     for i in order:
         try:
-            results[i] = {"point": points[i], "payload": _sweep_point(cfg, points[i]),
-                          "error": None}
-        except (SuperoscError, ValueError) as exc:
+            payload = _sweep_point(conf, points[i])
+            json.dumps(payload, allow_nan=False)  # a non-finite value fails the point
+            results[i] = {"point": points[i], "payload": payload, "error": None}
+        except (SuperoscError, ValueError, ArithmeticError) as exc:
             results[i] = {"point": points[i], "payload": None,
                           "error": f"{type(exc).__name__}: {exc}"}
 
     records = [results[i] for i in range(len(points))]  # deterministic order
     n_failed = sum(1 for r in records if r["error"])
     payload = {"n_points": len(points), "n_failed": n_failed,
-               "keys": keys, "shuffled_execution": shuffle}
+               "keys": keys, "shuffled_execution": conf["sweep"]["shuffle"]}
     return RunRecord(experiment="sweep", config_hash="", payload=payload), records
 
 
@@ -664,40 +667,34 @@ _RUNNERS = {
 }
 
 
-def _series_files(rec: RunRecord, out_dir: Path) -> list[Path]:
-    written = []
+def _series_files(rec: RunRecord, out_dir: Path) -> None:
     if rec.series:
-        name = f"{rec.experiment.replace('-', '_')}_series.csv"
         cols = list(rec.series.keys())
-        write_csv(out_dir / name, cols, [np.asarray(rec.series[c]) for c in cols])
-        written.append(out_dir / name)
-    return written
+        write_csv(out_dir / f"{rec.experiment.replace('-', '_')}_series.csv", cols,
+                  [np.asarray(rec.series[c]) for c in cols])
 
 
 def run_experiment(experiment: str, config_path: str, out_dir: Path,
                    quiet: bool = False) -> RunRecord:
     cfg = load_config(config_path)
-    declared = cfg.get("run", {}).get("experiment")
-    if declared and declared.strip() != experiment:
-        raise ConfigError(
-            f"config declares experiment {declared.strip()!r} but {experiment!r} requested"
-        )
     chash = config_hash(cfg)
+    conf = _parse(cfg)
+    declared = conf["run"].get("experiment")
+    if declared and declared != experiment:
+        raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} requested")
     t0 = time.perf_counter()
-    if experiment == "sweep":
-        rec, points = run_sweep(cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep_points.jsonl", "w", encoding="utf-8") as fh:
-            for item in points:
-                fh.write(json.dumps(item, sort_keys=True) + "\n")
-    else:
-        rec = _RUNNERS[experiment](cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    rec, points = run_sweep(conf) if experiment == "sweep" else (_RUNNERS[experiment](conf), None)
     rec.config_hash = chash
     rec.wall_clock_s = time.perf_counter() - t0
+    record = rec.to_json()  # a non-finite payload fails before any file is written
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if points is not None:
+        with open(out_dir / "sweep_points.jsonl", "w", encoding="utf-8") as fh:
+            for item in points:
+                fh.write(json.dumps(item, sort_keys=True, allow_nan=False) + "\n")
     _series_files(rec, out_dir)
     record_path = out_dir / f"{experiment.replace('-', '_')}_record.json"
-    record_path.write_text(rec.to_json(), encoding="utf-8")
+    record_path.write_text(record, encoding="utf-8")
     if not quiet:
         print(f"{experiment}: wrote {record_path}")
     return rec
@@ -736,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
                              else exc.args[1].to_dict(), sort_keys=True, indent=2),
                   file=sys.stderr)
         return 3
-    except SuperoscError as exc:
+    except (SuperoscError, ValueError, ArithmeticError) as exc:
         print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

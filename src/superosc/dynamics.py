@@ -22,6 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InsufficientData
+from .params import MAX_COUNT
 from .signal import SampledSignal
 
 N_PER_PERIOD = 32
@@ -48,9 +49,11 @@ def _excitation_integrals(spline, particle: TwoLevelParticle, times,
                           k_max: float, n_per_period: int) -> np.ndarray:
     """Composite-Simpson excitation integral for each t, one spline call for all."""
     fastest = particle.gap_frequency + k_max
+    counts = [max(8, math.ceil(t * fastest / (2.0 * math.pi) * n_per_period)) for t in times]
+    if sum(counts) > MAX_COUNT:
+        raise DomainError(f"{sum(counts)} time nodes exceed {MAX_COUNT}")
     nodes = []
-    for t in times:
-        n = max(8, int(math.ceil(t * fastest / (2.0 * math.pi) * n_per_period)))
+    for t, n in zip(times, counts):
         n += n % 2
         nodes.append(np.linspace(0.0, t, n + 1))
     ts = np.concatenate(nodes)

@@ -33,6 +33,7 @@ import numpy as np
 from .dynamics import TwoLevelParticle
 from .errors import BalanceViolation, CutoffMissing, DegenerateDenominator, DomainError
 from .field import CoherentAmplitudes, ModeGrid, energy_before
+from .params import MAX_COUNT
 
 MIN_THETA = 4.0 * math.pi      # below this the closed form is not trusted
 BALANCE_THETA = 40.0 * math.pi  # minimum for a full balance report
@@ -95,7 +96,10 @@ def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
 @functools.lru_cache(maxsize=16)
 def _i3_integral(k_uv: float, gap_frequency: float, t: float, n_per_period: int) -> float:
     """The k integral of ``compute_I3``, to the cutoff k_uv."""
-    n = max(1024, int(math.ceil(k_uv * t / (2.0 * math.pi) * n_per_period)))
+    nodes = k_uv * t / (2.0 * math.pi) * n_per_period
+    if not nodes <= MAX_COUNT:
+        raise DomainError(f"{nodes:.3g} k nodes up to the UV cutoff exceed {MAX_COUNT}")
+    n = max(1024, int(math.ceil(nodes)))
     k = np.linspace(0.0, k_uv, n + 1)
     w = k  # omega = c k
     integrand = k**2 * 4.0 * np.sin((gap_frequency + w) * t / 2.0) ** 2 / (

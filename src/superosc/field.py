@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CutoffMissing, InfraredError, TruncationError
+from .params import MAX_COUNT
 from .signal import SampledSignal
 from .spectral import SpectralDensity
 
@@ -66,6 +67,8 @@ class ModeGrid:
         n = int(math.floor(k_cut / dk))
         if n < 1:
             raise ValueError("box too small: no mode below k_cut")
+        if n > MAX_COUNT:
+            raise ValueError(f"{n} modes below k_cut exceed {MAX_COUNT}")
         return cls(box_length=box_length, wavenumbers=dk * np.arange(1, n + 1),
                    uv_cutoff=uv_cutoff)
 

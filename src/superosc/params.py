@@ -20,6 +20,10 @@ from .errors import PhaseLockViolation
 # not hold the advertised wavenumber across the window.
 WINDOW_CRITERION_DEFAULT = 0.1
 
+# Largest sample, node or mode count that one run may ask for; larger counts
+# are refused before anything is allocated.
+MAX_COUNT = 2**24
+
 # Phase-lock branches: delta**-2 = 2*pi*m + pi/4  (quarter)
 #                      delta**-2 = 2*pi*m + 3*pi/4 (three-quarter)
 QUARTER = "quarter"

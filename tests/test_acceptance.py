@@ -34,7 +34,9 @@ from superosc import (
     window_frequency,
 )
 from superosc import component_log, compute_I3, energy_balance
-from superosc import presets
+from superosc.cli import _pair_from, _real_signal_from, _window_from
+
+from conftest import CERT, DYN, cert_signal_of, regime
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -61,13 +63,13 @@ def test_acceptance_1_route_agreement():
 
 def test_acceptance_2_superoscillation_certificate():
     t0 = time.perf_counter()
-    pair = presets.cert_pair()          # m_phase = 40, boost = arccosh 3
-    sig = presets.cert_signal(pair)
+    pair = _pair_from(CERT)             # m_phase = 40, boost = arccosh 3
+    sig = cert_signal_of(pair)
     zc = pair.extent
     measured = window_frequency(sig, -0.9 * zc, -0.1 * zc)
     freq_dev = abs(measured - 2.0) / 2.0
     sd = spectrum(sig, band_limit=1.0)
-    kappa = presets.CERT_WINDOW.half_width
+    kappa = _window_from(CERT).half_width
     fraction = sd.band_energy_fraction(-kappa, 1.0 + kappa)
     elapsed = time.perf_counter() - t0
     _gate(2, f"in-window frequency {measured:.4f} (dev {freq_dev:.2%} <= 1%), "
@@ -103,7 +105,7 @@ def test_acceptance_4_coherent_reconstruction(dyn_signal, dyn_pair):
     sel = z - t >= dyn_signal.z_min
     shifted = make_real_superosc(dyn_pair, dyn_pair.wavenumber,
                                  dyn_signal.z_min - t, dyn_signal.dz, dyn_signal.n)
-    expected = np.real(shifted.values[sel]) * presets.DYN_WINDOW.profile(z[sel] - t)
+    expected = np.real(shifted.values[sel]) * _window_from(DYN).profile(z[sel] - t)
     err_t = np.abs(moved[sel] - expected).max()
     _gate(4, f"reconstruction max err: t=0 {err0:.2e}, t=0.3*z_c {err_t:.2e} "
              f"(tolerance {tol:.2e})", err0 <= tol and err_t <= tol)
@@ -111,8 +113,8 @@ def test_acceptance_4_coherent_reconstruction(dyn_signal, dyn_pair):
 
 def test_acceptance_5_quadratic_law():
     t0 = time.perf_counter()
-    pair = presets.dyn_pair()
-    sig = presets.dyn_signal(pair)
+    pair = _pair_from(DYN)
+    sig = _real_signal_from(DYN, pair)
     gap = pair.wavenumber            # 2*c*k0, above the band limit c*k0
     particle = TwoLevelParticle(gap_frequency=gap)
     t_lo = 5.0 * 2.0 * math.pi / gap
@@ -166,10 +168,10 @@ def test_acceptance_8_energy_ledger():
     scaling = compute_I3(g2, gap, t100, denom) / compute_I3(g1, gap, t100, denom)
 
     # full balance on the matched corpus run, plus the time ladder
-    pair = presets.dyn_pair()
-    sig = presets.dyn_signal(pair)
+    pair = _pair_from(DYN)
+    sig = _real_signal_from(DYN, pair)
     sd = spectrum(sig, band_limit=1.0)
-    grid = ModeGrid.for_signal(sig, uv_cutoff=presets.DYN_UV_CUTOFF)
+    grid = ModeGrid.for_signal(sig, uv_cutoff=regime("energy.cfg")["modes"]["uv_cutoff"])
     ca = amplitudes_from_spectrum(sd, grid)
     particle = TwoLevelParticle(gap_frequency=pair.wavenumber)
     amp = matched_sine_amplitude(sig, pair.wavenumber, -pair.extent, 0.0)

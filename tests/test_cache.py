@@ -10,11 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from superosc import SuperoscParams, combine_pair, compute_I3, presets, sample_component
+from superosc import SuperoscParams, combine_pair, compute_I3, sample_component
 from superosc import energy, synthesis
+from superosc.cli import _window_from
 from superosc.energy import sine_overlap_denominator
 from superosc.field import ModeGrid
 from superosc.synthesis import component_log, growth_region
+
+from conftest import MILD, MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
 
 AMPLITUDES = (1e-4, 3e-3, -1.0, 0.0)
 SYNTH_CACHES = (synthesis._bessel_branches, synthesis._grid_carrier)
@@ -29,7 +32,7 @@ def _pair_grid(pair):
     """A grid straddling both edges of both components' growth regions."""
     lo = min(growth_region(pair.p1)[0], growth_region(pair.p2)[0])
     hi = max(growth_region(pair.p1)[1], growth_region(pair.p2)[1])
-    z_min, dz = lo - 30.0, presets.MILD_PAIR_DZ
+    z_min, dz = lo - 30.0, MILD_PAIR_DZ
     return z_min, dz, int((hi + 30.0 - z_min) / dz)
 
 
@@ -41,12 +44,12 @@ def _component_reference(p, z, window):
     return unit * np.exp(logmag)
 
 
-@pytest.mark.parametrize("window", [None, presets.MILD_PAIR_WINDOW])
+@pytest.mark.parametrize("window", [None, MILD_PAIR_WINDOW])
 def test_cached_pair_samples_equal_uncached(window):
     _clear()
     for repeat in range(2):  # cold, then warm
         for amplitude in AMPLITUDES:
-            pair = presets.mild_pair(amplitude)
+            pair = mild_pair_of(amplitude)
             z_min, dz, n = _pair_grid(pair)
             z = z_min + dz * np.arange(n)
             ref = pair(z, window)
@@ -56,14 +59,14 @@ def test_cached_pair_samples_equal_uncached(window):
     assert synthesis._bessel_branches.cache_info().hits > 0
 
 
-@pytest.mark.parametrize("window", [None, presets.MILD_WINDOW])
+@pytest.mark.parametrize("window", [None, _window_from(MILD)])
 def test_cached_component_samples_equal_uncached(window):
     _clear()
     for repeat in range(2):
         for amplitude in AMPLITUDES:
-            p = presets.mild_component(amplitude)
+            p = mild_component(amplitude)
             z_lo, z_hi = growth_region(p)
-            z_min, dz = z_lo - 20.0, presets.MILD_DZ
+            z_min, dz = z_lo - 20.0, MILD["grid"]["dz"]
             n = int((z_hi + 20.0 - z_min) / dz)
             z = z_min + dz * np.arange(n)
             got = sample_component(p, z_min, dz, n, window=window).values
@@ -73,7 +76,7 @@ def test_cached_component_samples_equal_uncached(window):
 
 def test_cached_arrays_are_read_only():
     _clear()
-    pair = presets.mild_pair(1.0)
+    pair = mild_pair_of(1.0)
     z_min, dz, n = _pair_grid(pair)
     pair.sample(z_min, dz, n)
     for p in (pair.p1, pair.p2):

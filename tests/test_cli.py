@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -340,3 +341,145 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     expected = "f,i,s,b,f32\n" + "".join(
         ",".join(cell(col[i]) for col in columns) + "\n" for i in range(n))
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected
+
+
+# ------------------------------------------------------ config contract ----
+
+
+def _edited(fixture, tmp_path, section, key, value):
+    """fixtures/<fixture> with [section] key set to value, written under tmp_path."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cfg.read(FIXTURES / fixture)
+    if not cfg.has_section(section):
+        cfg.add_section(section)
+    cfg[section][key] = value
+    path = tmp_path / f"{section}.{key}.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    return path
+
+
+def _main_err(experiment, cfg, out_dir, capsys):
+    rc = main([experiment, "--config", str(cfg), "--out", str(out_dir), "--quiet"])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture,experiment,section,key,value,message", [
+    ("transition_detuned_assert.cfg", "transition", "transition", "assert_quadatic", "true",
+     "unknown key [transition] assert_quadatic"),
+    ("synth.cfg", "synth", "grdi", "dz", "0.1", "unknown section [grdi]"),
+    ("sweep_boost_ladder.cfg", "sweep", "sweep", "shuffle", "maybe",
+     "[sweep] shuffle = 'maybe': not a boolean"),
+    ("spectrum_cert.cfg", "spectrum", "superosc", "m_phase", "1e3",
+     "[superosc] m_phase = '1e3': not an integer"),
+], ids=["key-typo", "section-typo", "shuffle-maybe", "m_phase-1e3"])
+def test_config_typos_exit_2_with_one_message(fixture, experiment, section, key, value,
+                                              message, tmp_path, capsys):
+    cfg = _edited(fixture, tmp_path, section, key, value)
+    rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
+    assert (rc, err) == (2, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fixture,experiment,section,key,value", [
+    ("synth.cfg", "synth", "grid", "n_samples", str(2**24 + 1)),
+    ("transition.cfg", "transition", "transition", "n_points", "4097"),
+    ("freqmap_cert.cfg", "freq-map", "freqmap", "window_fraction", "5"),
+    ("freqmap_cert.cfg", "freq-map", "freqmap", "window_fraction", "0"),
+    ("energy.cfg", "energy", "modes", "uv_cutoff", "1e6"),
+    ("energy.cfg", "energy", "energy", "theta_over_pi", "1e6"),
+    ("energy.cfg", "energy", "energy", "ladder_over_pi", "40,1e9"),
+    ("sweep_boost_ladder.cfg", "sweep", "sweep", "extent", f"lin:10:20:{10**9}"),
+    ("sweep_boost_ladder.cfg", "sweep", "sweep", "extent", "lin:10:20:40000"),  # x 3 boosts
+])
+def test_oversized_counts_exit_2(fixture, experiment, section, key, value, tmp_path, capsys):
+    cfg = _edited(fixture, tmp_path, section, key, value)
+    rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith(("config error:", "validation error:"))
+
+
+@pytest.mark.parametrize("fixture,experiment,section,key,value", [
+    ("synth.cfg", "synth", "superosc", "boost", "800"),
+    ("synth.cfg", "synth", "grid", "n_samples", "3"),
+    ("transition.cfg", "transition", "transition", "n_points", "0"),
+    ("transition.cfg", "transition", "particle", "coupling", "1e200"),
+    ("transition.cfg", "transition", "transition", "exponent_range", "1.95"),
+    ("energy.cfg", "energy", "modes", "uv_cutoff", "0"),
+    ("energy.cfg", "energy", "modes", "uv_cutoff", "1e308"),
+])
+def test_run_time_failures_exit_2_without_traceback(fixture, experiment, section, key, value,
+                                                    tmp_path, capsys):
+    cfg = _edited(fixture, tmp_path, section, key, value)
+    rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith(("config error:", "validation error:"))
+
+
+def test_sweep_records_overflowing_point_and_goes_on(tmp_path, capsys):
+    # a swept boost takes the place of the fixture's boost_arccosh ladder
+    cfg = _edited("sweep_boost_ladder.cfg", tmp_path, "sweep", "boost", "list:1,800")
+    rc, err = _main_err("sweep", cfg, tmp_path, capsys)
+    assert rc == 0, err
+    errors = [json.loads(line)["error"]
+              for line in (tmp_path / "sweep_points.jsonl").read_text().splitlines()]
+    assert errors[0::2] == [None] * 3
+    assert all(e.startswith("OverflowError") for e in errors[1::2]) and len(errors) == 6
+
+
+def test_record_json_refuses_non_finite():
+    from superosc.cli import RunRecord
+
+    with pytest.raises(ValueError):
+        RunRecord(experiment="synth", config_hash="", payload={"x": float("nan")}).to_json()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# one fixture that reads each section; [superosc] boost and delta only synth reads
+_READER = {"run": "sweep_boost_ladder.cfg", "output": "sweep_boost_ladder.cfg",
+           "superosc": "freqmap_cert.cfg", "window": "freqmap_cert.cfg",
+           "grid": "freqmap_cert.cfg", "spectrum": "spectrum_cert.cfg",
+           "freqmap": "freqmap_cert.cfg", "particle": "transition.cfg",
+           "transition": "transition.cfg", "detune": "detune.cfg", "modes": "energy.cfg",
+           "energy": "energy.cfg", "sweep": "sweep_boost_ladder.cfg"}
+_EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e308", str(10**30))
+
+
+def test_every_key_at_extreme_values_keeps_exit_contract(tmp_path, capsys):
+    """Each key of the table, set to each extreme in one fixture that reads it: the
+    run exits 0, 2 or 3 without a traceback, a failed run writes nothing, and a
+    successful one writes finite JSON only."""
+    from superosc.cli import _KEYS
+
+    bad = []
+    for i, ((section, key), (kind, _, _)) in enumerate(_KEYS.items()):
+        fixture = _READER[section]
+        if (section, key) in (("superosc", "boost"), ("superosc", "delta")):
+            fixture = "synth.cfg"
+        experiment = load_config(FIXTURES / fixture)["run"]["experiment"].strip()
+        for j, extreme in enumerate(_EXTREMES):
+            value = f"list:{extreme}" if kind == "ladder" else extreme
+            case = tmp_path / f"{i}_{j}"
+            case.mkdir()
+            cfg = _edited(fixture, case, section, key, value)
+            if key == "box_length" and section == "sweep":  # box_length needs a cutoff
+                cfg.write_text(cfg.read_text() + "[modes]\nuv_cutoff = 50\n")
+            rc, err = _main_err(experiment, cfg, case / "out", capsys)
+            where = f"[{section}] {key} = {value} ({fixture}): exit {rc}"
+            if rc not in (0, 2, 3) or "Traceback" in err:
+                bad.append(f"{where}: {err.strip()[-200:]}")
+            elif rc and (case / "out").exists():
+                bad.append(f"{where}: a failed run wrote {sorted(os.listdir(case / 'out'))}")
+            elif rc == 0:
+                for path in (case / "out").glob("*.json*"):
+                    text = path.read_text()
+                    docs = text.splitlines() if path.suffix == ".jsonl" else [text]
+                    try:
+                        for doc in docs:
+                            json.loads(doc, parse_constant=_reject_constant)
+                    except ValueError as exc:
+                        bad.append(f"{where}: {path.name}: {exc}")
+    assert not bad, "\n".join(bad)

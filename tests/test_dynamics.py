@@ -189,11 +189,13 @@ def _whole_grid_probability(s, particle, t):
 
 def _near_left_edge_signal(pair):
     """dyn pair on a short grid whose left edge sits 40 samples below -extent."""
-    from superosc import presets
+    from superosc.cli import _window_from
 
-    dz = presets.DYN_DZ
+    from conftest import DYN
+
+    dz = DYN["grid"]["dz"]
     z_min = -pair.extent - 40 * dz
-    return pair.sample_real(z_min, dz, int((10.0 - z_min) / dz), window=presets.DYN_WINDOW)
+    return pair.sample_real(z_min, dz, int((10.0 - z_min) / dz), window=_window_from(DYN))
 
 
 def _assert_rel_close(values, refs, rel=1e-13):

@@ -131,7 +131,9 @@ def test_reconstruction_at_t0(dyn_signal):
 def test_translation_identity(dyn_signal, dyn_pair):
     # B(z, t) = F(z - c t): compare against a fresh synthesis at shifted points
     from superosc import make_real_superosc
-    from superosc.presets import DYN_WINDOW
+    from superosc.cli import _window_from
+
+    from conftest import DYN
 
     t = 15.0
     ca = _amplitudes(dyn_signal)
@@ -143,7 +145,7 @@ def test_translation_identity(dyn_signal, dyn_pair):
         dyn_signal.n, window=None, label="shift-oracle"
     )
     # window profile must be evaluated at the *original* argument z - t
-    h = DYN_WINDOW.profile(z[sel] - t)
+    h = _window_from(DYN).profile(z[sel] - t)
     expected = np.real(shifted.values[sel]) * h
     err = np.abs(moved[sel] - expected).max()
     assert err <= 1e-4 * dyn_signal.max_abs

@@ -24,6 +24,8 @@ from superosc.errors import (
 from superosc.frequency import zero_crossings
 from superosc.params import QUARTER
 
+from conftest import MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
+
 # Frozen closed-form oracle values (mpmath, 30 digits):
 #   J0(4)                                  = -0.397149809863847372...
 #   sqrt(pi)/(sqrt(2)*0.5) * J0(4)         = -0.995506942669045643...
@@ -390,10 +392,10 @@ def _all_points_pair(pair, z, window=None):
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
 def test_masked_component_log_matches_all_points(amplitude):
-    from superosc import component_log, presets
+    from superosc import component_log
     from superosc.synthesis import growth_region
 
-    p = presets.mild_component(amplitude)
+    p = mild_component(amplitude)
     z_lo, z_hi = growth_region(p)
     z = np.linspace(z_lo - 20.0, z_hi + 20.0, 5001)  # straddles both edges
     logmag, unit = component_log(p, z)
@@ -404,16 +406,15 @@ def test_masked_component_log_matches_all_points(amplitude):
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
 def test_masked_pair_samples_match_all_points(amplitude):
-    from superosc import presets
     from superosc.synthesis import growth_region
 
-    pair = presets.mild_pair(amplitude)
+    pair = mild_pair_of(amplitude)
     lo = min(growth_region(pair.p1)[0], growth_region(pair.p2)[0])
     hi = max(growth_region(pair.p1)[1], growth_region(pair.p2)[1])
-    z_min, dz = lo - 30.0, presets.MILD_PAIR_DZ
+    z_min, dz = lo - 30.0, MILD_PAIR_DZ
     n = int((hi + 30.0 - z_min) / dz)
     z = z_min + dz * np.arange(n)
-    for window in (None, presets.MILD_PAIR_WINDOW):
+    for window in (None, MILD_PAIR_WINDOW):
         ref = _all_points_pair(pair, z, window)
         assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
         assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
@@ -421,9 +422,9 @@ def test_masked_pair_samples_match_all_points(amplitude):
 
 
 def test_masked_bessel_scalar_and_0d_input():
-    from superosc import component_log, presets
+    from superosc import component_log
 
-    p = presets.mild_component(-1.0)
+    p = mild_component(-1.0)
     for z in (-3.0, 0.0, p.growth_peak_z, 200.0):  # window, origin, growth peak, beyond it
         ref_logmag, ref_unit = _all_points_component_log(p, np.asarray(z))
         assert synth_bessel(p, z) == complex(ref_unit * np.exp(ref_logmag))
