@@ -149,7 +149,7 @@ _KEYS = {
     ("transition", "t_hi"): ("float", None, None),  # defaults to the pair's extent
     ("transition", "n_points"): ("int", 48, "[2, 4096]"),
     ("transition", "assert_quadratic"): ("bool", False, None),
-    ("transition", "exponent_range"): ("floats", (1.95, 2.05), None),
+    ("transition", "exponent_range"): ("pair", (1.95, 2.05), None),  # lo < hi
     ("transition", "max_residual"): ("float", 0.05, None),
     ("detune", "probes_rel"): ("floats", (0.8, 1.2, 1.6), None),
     ("detune", "theta_over_pi"): ("float", 100.0, None),
@@ -212,8 +212,11 @@ def _typed(kind: str, text: str):
         if text.lower() not in _BOOLS:
             raise ValueError("not a boolean")
         return _BOOLS[text.lower()]
-    if kind == "floats":
-        return [_number(tok) for tok in text.split(",") if tok.strip()]
+    if kind in ("floats", "pair"):
+        values = [_number(tok) for tok in text.split(",") if tok.strip()]
+        if kind == "pair" and not (len(values) == 2 and values[0] < values[1]):
+            raise ValueError("not two values lo < hi")
+        return values
     if kind == "ladder":
         return _ladder(text)
     return text  # str, and gap = matched
@@ -674,9 +677,9 @@ def _series_files(rec: RunRecord, out_dir: Path) -> None:
                   [np.asarray(rec.series[c]) for c in cols])
 
 
-def run_experiment(experiment: str, config_path: str, out_dir: Path,
+def run_experiment(experiment: str, cfg: dict[str, dict[str, str]], out_dir: Path,
                    quiet: bool = False) -> RunRecord:
-    cfg = load_config(config_path)
+    """Run one experiment on a loaded config (see ``load_config``)."""
     chash = config_hash(cfg)
     conf = _parse(cfg)
     declared = conf["run"].get("experiment")
@@ -721,8 +724,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        out_dir = resolve_out_dir(args.out, load_config(args.config))
-        run_experiment(args.experiment, args.config, out_dir, quiet=args.quiet)
+        cfg = load_config(args.config)
+        run_experiment(args.experiment, cfg, resolve_out_dir(args.out, cfg), quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

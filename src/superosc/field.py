@@ -11,6 +11,11 @@ the magnetic-field expectation
   B(z, t) = sum_k sqrt(8 pi omega_k / L^3)
             (Re alpha_k sin(k z - w t) + Im alpha_k cos(k z - w t))
 reproduce the right-moving waveform F(z - c t).
+
+On the sample grid, B(z, t) is therefore the t = 0 field moved by c t: its
+mode sum is the inverse box transform of F(k) with the grid origin moved
+from z_min to z_min - c t, which ``spectral.box_irfft`` applies by the DFT
+shift theorem instead of a second phase ramp exp(-i omega t).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .errors import CutoffMissing, InfraredError, TruncationError
 from .params import MAX_COUNT
 from .signal import SampledSignal
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, box_fft, box_irfft
 
 ENERGY_ROUTE_TOL = 1e-8
 
@@ -122,9 +127,7 @@ def fourier_coeffs(s: SampledSignal, grid: ModeGrid) -> FourierCoeffs:
         raise TruncationError(
             f"mode lattice box {grid.box_length} != signal box {s.box_length}"
         )
-    transform = s.dz * np.fft.rfft(np.real(s.values))
-    k_all = 2.0 * math.pi * np.fft.rfftfreq(s.n, d=s.dz)
-    transform = transform * np.exp(-1j * k_all * s.z_min)
+    transform = box_fft(s.values, s.z_min, s.dz)
     idx = np.rint(grid.wavenumbers / grid.dk).astype(int)
     if idx.max() >= transform.size:
         raise TruncationError("mode lattice extends beyond the Nyquist wavenumber")
@@ -191,22 +194,21 @@ def expectation_B(ca: CoherentAmplitudes, z=None, t: float = 0.0):
     """Field expectation at time t.
 
     With z omitted, evaluates on the originating sample grid through one
-    inverse FFT (exact mode resummation).  With explicit z (scalar or
-    array), performs the direct mode sum.
+    inverse FFT (exact mode resummation); as omega = c k with c = 1, time t
+    is a move of the grid origin by -t.  With explicit z (scalar or array),
+    performs the direct mode sum.
     """
     if z is None:
         if ca.n_samples == 0:
             raise ValueError("amplitudes carry no box geometry; pass z explicitly")
         n = ca.n_samples
-        dk = ca.grid.dk
-        f_k = ca.spectral_values()
-        spect = np.zeros(n, dtype=complex)
-        idx = np.rint(ca.grid.wavenumbers / dk).astype(int)
-        spect[idx] = f_k * np.exp(-1j * ca.grid.omega * t) * np.exp(
-            1j * ca.grid.wavenumbers * ca.z_min
-        )
-        vals = n * np.fft.ifft(spect)
-        return (dk / math.pi) * np.real(vals)
+        idx = np.rint(ca.grid.wavenumbers / ca.grid.dk).astype(int)
+        if 2 * idx.max() >= n:
+            raise TruncationError("mode lattice reaches the Nyquist wavenumber of the grid")
+        half = np.zeros(n // 2 + 1, dtype=complex)
+        half[idx] = ca.spectral_values()
+        # irfft supplies the k < 0 half as the conjugate mirror of the modes
+        return box_irfft(half, ca.z_min - t, ca.dz, n)
 
     z = np.atleast_1d(np.asarray(z, dtype=float))
     k = ca.grid.wavenumbers

@@ -1,9 +1,14 @@
 """Local-frequency measurement on sampled signals.
 
 Complex signals: spatial derivative of the unwrapped phase by central
-differences.  Real signals: zero-crossing spacing, linearly interpolated
-between samples (exact-zero samples count as crossings), averaged over the
-six crossings nearest the query point.
+differences.  A profile over [z_lo, z_hi] unwraps only the samples inside
+the window plus the one stencil sample beyond each end: central differences
+of an unwrapped phase are local, so the result is the whole-grid unwrap's,
+without the rounding of a phase that has grown across the whole box.
+
+Real signals: zero-crossing spacing, linearly interpolated between samples
+(exact-zero samples count as crossings), averaged over the six crossings
+nearest the query point.
 
 The non-vanishing guard compares against the *local* neighborhood maximum,
 not the global grid maximum: admissible waveforms carry an exponential bump
@@ -81,16 +86,13 @@ def frequency_profile(s: SampledSignal, z_lo: float | None = None,
             crossings = crossings[crossings <= z_hi]
         mids = 0.5 * (crossings[:-1] + crossings[1:])
         return mids, np.pi / np.diff(crossings)
-    phase = np.unwrap(np.angle(s.values))
-    k_loc = np.gradient(phase, s.dz)
     z = s.z
-    sel = np.ones(s.n, dtype=bool)
-    sel[0] = sel[-1] = False
-    if z_lo is not None:
-        sel &= z >= z_lo
-    if z_hi is not None:
-        sel &= z <= z_hi
-    return z[sel], k_loc[sel]
+    # interior samples only (the grid ends have no central difference); an
+    # empty window leaves an empty slice
+    lo = 1 if z_lo is None else max(1, int(np.searchsorted(z, z_lo, side="left")))
+    hi = s.n - 2 if z_hi is None else min(s.n - 2, int(np.searchsorted(z, z_hi, side="right")) - 1)
+    phase = np.unwrap(np.angle(s.values[lo - 1:hi + 2]))
+    return z[lo:hi + 1].copy(), (phase[2:] - phase[:-2]) / (2.0 * s.dz)
 
 
 def window_frequency(s: SampledSignal, z_lo: float, z_hi: float) -> float:

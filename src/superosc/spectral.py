@@ -4,10 +4,20 @@ The DFT of the sampled box, multiplied by dz, approximates
 F(k) = integral dz F(z) exp(-i k z); the k grid spacing is 2*pi over the box
 length.  Energy fractions are computed on magnitude-normalized values so
 that signals whose samples reach e^700 never overflow the quadratic forms.
+
+The grid origin enters through the DFT shift theorem, never through a phase
+ramp exp(-i k z_min), whose argument reaches 1e5 rad on a long box.  With
+r = z_min/dz = m + f (m integer, |f| <= 1/2), exp(-i k_j z_min) is
+exp(-2 pi i j m/n) exp(-2 pi i j f/n): the first factor is a roll of the
+samples by m, the second a ramp whose argument stays below pi/2 (signed j),
+and absent on grids whose origin is a whole number of samples.  A real
+signal is transformed by ``rfft``; its negative-k half is the exact
+conjugate mirror of the positive one, so its spectrum is exactly Hermitian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +69,45 @@ class SpectralDensity:
         return self.leakage(half_width) <= self.eps_band
 
 
+def _origin_shift(z0: float, dz: float) -> tuple[int, float]:
+    """z0/dz as m + f, m an integer and |f| <= 1/2.
+
+    ``math.remainder`` is exact, so f carries one rounding however large m is.
+    """
+    frac = math.remainder(z0, dz)
+    return round((z0 - frac) / dz), frac / dz
+
+
+def box_fft(values: np.ndarray, z0: float, dz: float) -> np.ndarray:
+    """dz * sum_p v_p exp(-i k_j (z0 + p dz)) at k_j = 2 pi j / (n dz).
+
+    Real values give the ``rfft`` half, j = 0 .. n//2; complex values the
+    full ``fft``, in numpy's order of signed j.
+    """
+    n = values.size
+    m, f = _origin_shift(z0, dz)
+    full = np.iscomplexobj(values)
+    out = (np.fft.fft if full else np.fft.rfft)(np.roll(values, m))
+    if f:
+        out *= np.exp(-2j * np.pi * f * (np.fft.fftfreq(n) if full else np.fft.rfftfreq(n)))
+    out *= dz
+    return out
+
+
+def box_irfft(half: np.ndarray, z0: float, dz: float, n: int) -> np.ndarray:
+    """Real samples at z0 + p dz, p = 0 .. n-1, whose ``box_fft`` is ``half``.
+
+    ``half`` holds j = 0 .. n//2; as in ``irfft``, the imaginary parts of
+    the j = 0 bin and (even n) of the Nyquist bin are dropped.
+    """
+    m, f = _origin_shift(z0, dz)
+    if f:
+        half = half * np.exp(2j * np.pi * f * np.fft.rfftfreq(n))
+    out = np.roll(np.fft.irfft(half, n), -m)
+    out /= dz
+    return out
+
+
 def spectrum(s: SampledSignal, band_limit: float,
              eps_band: float = EPS_BAND_DEFAULT) -> SpectralDensity:
     """Continuous-transform approximation of the sampled signal.
@@ -74,11 +123,12 @@ def spectrum(s: SampledSignal, band_limit: float,
             f"{BOUNDARY_DECAY:.0e}: box does not contain the signal"
         )
     n = s.n
-    transform = s.dz * np.fft.fft(v)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=s.dz)
-    transform = transform * np.exp(-1j * k * s.z_min)
-    k = np.fft.fftshift(k)
-    transform = np.fft.fftshift(transform)
+    k = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=s.dz))
+    transform = box_fft(v, s.z_min, s.dz)
+    if s.real_valued:  # negative k: the conjugate mirror of the rfft half
+        transform = np.concatenate([np.conj(transform[:0:-1]), transform[:n - n // 2]])
+    else:
+        transform = np.fft.fftshift(transform)
     if k[0] > -band_limit or k[-1] < 2.0 * band_limit:
         raise TruncationError("k grid does not cover [-k0, 2 k0]; refine dz")
     return SpectralDensity(k=k, values=transform, band_limit=band_limit,

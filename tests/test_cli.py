@@ -372,13 +372,30 @@ def _main_err(experiment, cfg, out_dir, capsys):
      "[sweep] shuffle = 'maybe': not a boolean"),
     ("spectrum_cert.cfg", "spectrum", "superosc", "m_phase", "1e3",
      "[superosc] m_phase = '1e3': not an integer"),
-], ids=["key-typo", "section-typo", "shuffle-maybe", "m_phase-1e3"])
+    ("transition_detuned_assert.cfg", "transition", "transition", "exponent_range", "1.95",
+     "[transition] exponent_range = '1.95': not two values lo < hi"),
+    ("transition.cfg", "transition", "transition", "exponent_range", "2.05, 1.95",
+     "[transition] exponent_range = '2.05, 1.95': not two values lo < hi"),
+    ("transition.cfg", "transition", "transition", "exponent_range", "1.9, 2.0, 2.1",
+     "[transition] exponent_range = '1.9, 2.0, 2.1': not two values lo < hi"),
+], ids=["key-typo", "section-typo", "shuffle-maybe", "m_phase-1e3", "exponent_range-one",
+        "exponent_range-reversed", "exponent_range-three"])
 def test_config_typos_exit_2_with_one_message(fixture, experiment, section, key, value,
                                               message, tmp_path, capsys):
     cfg = _edited(fixture, tmp_path, section, key, value)
     rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
     assert (rc, err) == (2, f"config error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_config_read_once_per_run(tmp_path, monkeypatch):
+    import superosc.cli as cli
+
+    paths = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: paths.append(path) or load(path))
+    assert _run("synth", "synth.cfg", tmp_path) == 0
+    assert paths == [str(FIXTURES / "synth.cfg")]
 
 
 @pytest.mark.parametrize("fixture,experiment,section,key,value", [

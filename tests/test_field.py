@@ -160,6 +160,39 @@ def test_pointwise_matches_grid_path(dyn_signal):
     assert direct == pytest.approx(grid_vals[i], rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [1, 7, -300, 4096])
+def test_grid_time_step_is_a_roll(dyn_signal, j):
+    # omega = c k with c = 1: a time of j samples moves the field by j samples
+    ca = _amplitudes(dyn_signal)
+    assert np.array_equal(expectation_B(ca, t=j * dyn_signal.dz), np.roll(expectation_B(ca), j))
+
+
+def test_grid_path_at_fractional_time_matches_mode_sum(dyn_signal):
+    ca = _amplitudes(dyn_signal)
+    t = 15.3  # 50.13... samples
+    grid_vals = expectation_B(ca, t=t)
+    idx = np.linspace(0, dyn_signal.n - 1, 64).astype(int)
+    direct = expectation_B(ca, z=dyn_signal.z[idx], t=t)
+    assert np.abs(direct - grid_vals[idx]).max() <= 1e-10 * np.abs(grid_vals).max()
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_grid_path_refuses_modes_at_nyquist(n):
+    dz = 0.25
+    box = n * dz
+    # the largest mode index below n/2 is accepted, one more is not
+    top = (n - 1) // 2
+    ok = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 1))
+    ca = CoherentAmplitudes(grid=ok, alpha=np.ones(top, dtype=complex), z_min=-4.0, dz=dz,
+                            n_samples=n)
+    assert np.all(np.isfinite(expectation_B(ca)))
+    grid = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 2))
+    ca = CoherentAmplitudes(grid=grid, alpha=np.ones(top + 1, dtype=complex), z_min=-4.0,
+                            dz=dz, n_samples=n)
+    with pytest.raises(TruncationError):
+        expectation_B(ca)
+
+
 # ------------------------------------------------------------- two-point ----
 
 

@@ -123,3 +123,31 @@ def test_real_dead_zone_raises_node_error():
     s = SampledSignal(z_min=-100.0, dz=dz, values=vals, route="combined", k_max=2.0)
     with pytest.raises(NodeError):
         instantaneous_frequency(s, -5.0)
+
+
+def _whole_grid_profile(s, z_lo, z_hi):
+    """The profile from one unwrap of the whole grid."""
+    k_loc = np.gradient(np.unwrap(np.angle(s.values)), s.dz)
+    sel = np.ones(s.n, dtype=bool)
+    sel[0] = sel[-1] = False
+    if z_lo is not None:
+        sel &= s.z >= z_lo
+    if z_hi is not None:
+        sel &= s.z <= z_hi
+    return s.z[sel], k_loc[sel]
+
+
+@pytest.mark.parametrize("window", [
+    (None, None), (-1.8, -0.2), (None, -1.0), (-1.0, None),
+    ("first", -100.0), (-100.0, "last"), ("first", "last"), ("second", "second"),
+    (-1.0, -1.0 - 1e-9), (1e9, None), (None, -1e9),
+], ids=str)
+def test_windowed_profile_matches_whole_grid_unwrap(cert_signal, window):
+    edges = {"first": cert_signal.z_min, "last": cert_signal.z_max,
+             "second": float(cert_signal.z[1])}
+    z_lo, z_hi = (edges.get(end, end) for end in window)
+    z_ref, k_ref = _whole_grid_profile(cert_signal, z_lo, z_hi)
+    z_got, k_got = frequency_profile(cert_signal, z_lo, z_hi)
+    assert np.array_equal(z_got, z_ref)
+    if k_ref.size:
+        assert np.abs(k_got - k_ref).max() <= 1e-11 * np.abs(k_ref).max()

@@ -1,8 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superosc import SampledSignal, WindowSpec, parseval_residual, spectrum
 from superosc.errors import TruncationError
+from superosc.spectral import box_fft, box_irfft
 
 
 def _gaussian_cos(k1=0.5, kappa=0.01, n=2**13, dz=0.25):
@@ -65,3 +69,90 @@ def test_window_blur_leakage_small():
     s = SampledSignal(z_min=z[0], dz=dz, values=vals, route="windowed", k_max=2.0)
     sd = spectrum(s, band_limit=1.0)
     assert sd.leakage(kappa) <= 1e-4
+
+
+# ------------------------------------------------- box transform origin ----
+
+# origins r = z0/dz, in samples: zero, small whole and half, and whole and
+# fractional ones as large as the fixture grids'
+_ORIGINS = [0.0, 5.0, 0.5, -15200.0, -10000.246]
+_DZ = 0.3  # not a power of two, so z0 = r * dz rounds
+
+
+def _exact_dft(values, z0, dz, j):
+    """dz * sum_p v_p exp(-i k_j (z0 + p dz)) at exact k_j = 2 pi j / (n dz), 40 digits."""
+    n = len(values)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(z0) / mpmath.mpf(dz)
+        v = [mpmath.mpc(complex(x)) for x in values]
+        roots = [mpmath.expjpi(mpmath.mpf(-2 * q) / n) for q in range(n)]
+        return np.array([complex(mpmath.mpf(dz) * mpmath.expjpi(-2 * r * jj / n) * mpmath.fsum(
+            v[p] * roots[p * jj % n] for p in range(n))) for jj in j])
+
+
+def _samples(n, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    return v + 1j * rng.standard_normal(n) if kind == "complex" else v
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("r", _ORIGINS)
+@pytest.mark.parametrize("n", [63, 64])
+def test_box_fft_matches_exact_dft(n, r, kind):
+    v = _samples(n, kind)
+    z0 = r * _DZ
+    got = box_fft(v, z0, _DZ)
+    signed = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    j = signed if kind == "complex" else np.arange(n // 2 + 1)
+    ref = _exact_dft(v, z0, _DZ, j)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _bump(n, r, kind, dz=_DZ):
+    """A Gaussian-windowed oscillation, decayed to the box edges."""
+    p = np.arange(n) - (n - 1) / 2
+    z = (r + np.arange(n)) * dz
+    carrier = np.exp(0.8j * z) if kind == "complex" else np.cos(0.8 * z)
+    return SampledSignal(z_min=r * dz, dz=dz, values=carrier * np.exp(-0.5 * (p / 5.0) ** 2),
+                         route="windowed", k_max=2.0)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("r", [-15200.0, -10000.246])
+@pytest.mark.parametrize("n", [63, 64])
+def test_spectrum_matches_exact_dft(n, r, kind):
+    s = _bump(n, r, kind)
+    sd = spectrum(s, band_limit=1.0)
+    j = np.arange(-(n // 2), n - n // 2)  # fftshift order
+    ref = _exact_dft(s.values, s.z_min, s.dz, j)
+    assert np.allclose(sd.k, 2 * np.pi * j / (n * s.dz), rtol=1e-15, atol=0.0)
+    assert np.abs(sd.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _assert_hermitian(sd):
+    c = sd.values.size // 2  # k = 0
+    j = np.arange(1, sd.values.size - c)
+    assert sd.k[c] == 0.0 and sd.values[c].imag == 0.0
+    assert np.array_equal(sd.values[c + j], np.conj(sd.values[c - j]))
+
+
+@pytest.mark.parametrize("r", [0.0, -10000.246])
+@pytest.mark.parametrize("n", [63, 64])
+def test_real_spectrum_exactly_hermitian(n, r):
+    _assert_hermitian(spectrum(_bump(n, r, "real"), band_limit=1.0))
+
+
+def test_dyn_spectrum_exactly_hermitian(dyn_signal):
+    _assert_hermitian(spectrum(dyn_signal, band_limit=1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), r=st.floats(-1e5, 1e5, allow_nan=False),
+       dz=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_box_transform_round_trip(n, r, dz, seed):
+    v = _samples(n, "real", seed)
+    z0 = r * dz
+    back = box_irfft(box_fft(v, z0, dz), z0, dz, n)
+    assert np.abs(back - v).max() <= 1e-13 * np.abs(v).max()
