@@ -36,7 +36,7 @@ from .dynamics import (
     probability_curve,
 )
 from .energy import compute_I3, energy_balance, i2_over_gap, sine_overlap_denominator
-from .errors import BalanceViolation, ConfigError, SuperoscError
+from .errors import BalanceViolation, ConfigError, DegenerateDenominator, SuperoscError
 from .field import ModeGrid, amplitudes_from_spectrum
 from .frequency import frequency_profile, window_frequency
 from .params import MAX_COUNT, SuperoscParams, WindowSpec, locked_delta
@@ -521,10 +521,10 @@ def run_detune(conf: dict) -> RunRecord:
     t = theta_over_pi * math.pi / gap
     gaps = np.array([gap] + [gap * r for r in probes_rel])
     scan = detuning_scan(sig, gaps, t, coupling=conf["particle"]["coupling"])
-    ratios = {
-        f"{r:g}": float(scan.probabilities[0] / scan.probabilities[i + 1])
-        for i, r in enumerate(probes_rel)
-    }
+    matched, probes = scan.probabilities[0], scan.probabilities[1:]
+    if not np.all(probes > 0.0):
+        raise DegenerateDenominator("a detuned probe has P = 0: ratio_by_probe undefined")
+    ratios = {f"{r:g}": float(matched / p) for r, p in zip(probes_rel, probes)}
     payload = {
         "matched_gap": gap,
         "t": t,

@@ -129,8 +129,8 @@ def fourier_coeffs(s: SampledSignal, grid: ModeGrid) -> FourierCoeffs:
         )
     transform = box_fft(s.values, s.z_min, s.dz)
     idx = np.rint(grid.wavenumbers / grid.dk).astype(int)
-    if idx.max() >= transform.size:
-        raise TruncationError("mode lattice extends beyond the Nyquist wavenumber")
+    if 2 * idx.max() >= s.n:
+        raise TruncationError("mode lattice reaches the Nyquist wavenumber")
     coeff = (2.0 / grid.box_length) * transform[idx]
     return FourierCoeffs(grid=grid, a=np.real(coeff), b=-np.imag(coeff))
 

@@ -177,6 +177,21 @@ def test_detune_payload_selectivity(tmp_path):
         assert ratio >= 100.0
 
 
+def test_detune_zero_coupling_exits_2_with_one_line(tmp_path):
+    # every P is 0: the ratios are 0/0, refused before any division
+    cfg = _edited("detune.cfg", tmp_path, "particle", "coupling", "0")
+    env = {k: v for k, v in os.environ.items() if k != "SUPEROSC_OUT"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "superosc", "detune", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("validation error: DegenerateDenominator:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # ----------------------------------------------------------------- sweep ----
 
 

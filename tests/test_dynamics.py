@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superosc import (
     ProbabilityCurve,
@@ -171,19 +173,14 @@ def test_long_time_boundedness(dyn_signal, dyn_particle):
 
 
 def _whole_grid_probability(s, particle, t):
-    """Reference: the spline through every sample of the grid, one Simpson sum per t."""
+    """Reference: the same exact integral over the spline through every sample."""
     from scipy.interpolate import CubicSpline
 
-    from superosc.dynamics import N_PER_PERIOD
+    from superosc.dynamics import _spline_amplitudes
 
-    if t == 0.0:
-        return 0.0
-    fastest = particle.gap_frequency + s.k_max
-    n = max(8, int(math.ceil(t * fastest / (2.0 * math.pi) * N_PER_PERIOD)))
-    n += n % 2
-    ts = np.linspace(0.0, t, n + 1)
-    w = CubicSpline(s.z, s.values)(particle.detector_z - ts) * np.exp(1j * particle.gap_frequency * ts)
-    amp = (t / n / 3.0) * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-2:2].sum())
+    spline = CubicSpline(s.z, s.values)
+    (amp,) = _spline_amplitudes(spline, np.array([particle.gap_frequency]),
+                                particle.detector_z, np.array([t]))[0]
     return particle.coupling**2 * abs(amp) ** 2
 
 
@@ -234,3 +231,179 @@ def test_detector_rejects_negative_or_uncovered_times(dyn_signal, dyn_particle):
             detuning_scan(dyn_signal, [OMEGA], t)
     with pytest.raises(DomainError):
         probability_curve(dyn_signal, dyn_particle, [-1.0, 5.0])
+
+
+# ------------------------------------------------ exact spline integral ----
+
+
+def _moment_reference(x, p):
+    """m_p(x) = int_0^1 u^p exp(-i x u) du, from its closed form at 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        if x < mpmath.mpf("1e-6"):  # the series: the closed form cancels here
+            return complex(mpmath.fsum((-1j * x) ** k / mpmath.factorial(k) / (k + p + 1)
+                                       for k in range(12)))
+        ix = mpmath.mpc(0, x)
+        head = mpmath.fsum(ix**k / mpmath.factorial(k) for k in range(p + 1))
+        return complex(mpmath.factorial(p) / ix ** (p + 1) * (1 - mpmath.exp(-ix) * head))
+
+
+def test_moments_match_mpmath():
+    from superosc.dynamics import _GL_NODES, _GL_WEIGHTS, MOMENT_SWITCH, _moments
+
+    nodes, weights = np.polynomial.legendre.leggauss(10)  # the rule's table, on [0, 1]
+    assert np.abs(_GL_NODES - 0.5 * (nodes + 1.0)).max() <= 1e-15
+    assert np.abs(_GL_WEIGHTS - 0.5 * weights).max() <= 1e-15
+
+    omega = 1.7
+    x = np.concatenate([[0.0, 1e-300, 1e-9, 1e-3, MOMENT_SWITCH, np.nextafter(MOMENT_SWITCH, 3),
+                         2 * math.pi, 1e4], np.geomspace(1e-4, 1e4, 80)])
+    tau = x / omega
+    mu = _moments(np.float64(omega), tau)
+    assert mu.shape == (x.size, 4)
+    for i, xi in enumerate(x):
+        for p in range(4):
+            ref = tau[i] ** (p + 1) * _moment_reference(xi, p)
+            assert abs(mu[i, p] - ref) <= 1e-14 * tau[i] ** (p + 1), (xi, p)
+
+
+@pytest.mark.parametrize("z_min,dz,z0", [(-60.0, 0.25, 1.1), (-1234.5678, 0.1234567, -1160.3)],
+                         ids=["exact-knots", "rounded-knots"])
+def test_cubic_signal_matches_closed_form(z_min, dz, z0):
+    # a not-a-knot spline reproduces a cubic F, and with s = z0 - z, by parts,
+    # int_{z0-t}^{z0} F(z) e^{i W (z0 - z)} dz = [e^{i W s} sum_j F^(j)(z0 - s) / (i W)^(j+1)]_0^t
+    # On the second grid z_min + j dz is off by up to 1e-13, so the knot widths differ
+    import mpmath
+
+    from superosc.dynamics import _excitation_amplitudes
+
+    coef = [1.0, 0.3, -0.02, 0.001]  # F(z) = sum_k coef[k] (z - z0)^k
+    z = z_min + dz * np.arange(int((z0 + 5.0 - z_min) / dz))
+    s = SampledSignal(z_min=z_min, dz=dz, values=np.polyval(coef[::-1], z - z0),
+                      route="combined", k_max=1.0)
+    gaps = np.array([0.5, 2.0, 13.0])  # 13 dz > 2: whole intervals by the recurrence
+    times = np.array([0.1, 7.3, 33.0, 60.0])
+    amps = _excitation_amplitudes(s, gaps, times, z0)
+
+    def derivative(j, u):  # F^(j) at z0 + u
+        return mpmath.fsum(mpmath.mpf(c) * mpmath.ff(k, j) * u ** (k - j)
+                           for k, c in enumerate(coef) if k >= j)
+
+    with mpmath.workdps(40):
+        for gi, w in enumerate(gaps):
+            iw = mpmath.mpc(0, w)
+
+            def antiderivative(s_):
+                return mpmath.exp(iw * s_) * mpmath.fsum(
+                    derivative(j, -s_) / iw ** (j + 1) for j in range(4))
+
+            for ti, t in enumerate(times):
+                ref = complex(antiderivative(mpmath.mpf(t)) - antiderivative(0))
+                # the limits z0 - t and z0 - x_j carry rounding of order ulp(z0) times F
+                f_max = np.abs(np.polyval(coef[::-1], -np.linspace(0.0, t, 64))).max()
+                tol = 1e-13 * abs(ref) + 2 * np.spacing(abs(z0)) * f_max
+                assert abs(amps[gi, ti] - ref) <= tol, (w, t)
+
+
+def _simpson_probability(s, gap, t, per_period=512):
+    """Composite Simpson on the same local spline, per_period nodes per fastest period."""
+    from superosc.dynamics import _local_spline
+
+    spline = _local_spline(s, -t, 0.0)
+    n = max(8, math.ceil(t * (gap + s.k_max) / (2 * math.pi) * per_period))
+    n += n % 2
+    ts = np.linspace(0.0, t, n + 1)
+    w = spline(-ts) * np.exp(1j * gap * ts)
+    return abs((t / n / 3.0) * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-2:2].sum())) ** 2
+
+
+def test_dyn_curve_and_scan_match_fine_simpson(dyn_signal, dyn_particle, dyn_pair):
+    gap = dyn_particle.gap_frequency
+    times = np.geomspace(5 * 2 * math.pi / gap, dyn_pair.extent, 12)
+    curve = probability_curve(dyn_signal, dyn_particle, times)
+    _assert_rel_close(curve.values, [_simpson_probability(dyn_signal, gap, t) for t in times],
+                      rel=1e-10)
+    gaps = gap * np.array([1.0, 0.8, 1.2, 1.6])
+    t = 100 * math.pi / gap
+    scan = detuning_scan(dyn_signal, gaps, t)
+    _assert_rel_close(scan.probabilities, [_simpson_probability(dyn_signal, g, t) for g in gaps],
+                      rel=1e-10)
+
+
+def test_huge_gap_is_finite_or_refused(dyn_signal):
+    for gap in (1e8, 1e300):
+        scan = detuning_scan(dyn_signal, [gap], 50.0)
+        assert np.all(np.isfinite(scan.probabilities))
+        curve = probability_curve(dyn_signal, TwoLevelParticle(gap), [0.0, 1e-9, 50.0])
+        assert np.all(np.isfinite(curve.values))
+    for fn in (lambda: detuning_scan(dyn_signal, [1e308], 50.0),
+               lambda: transition_probability(dyn_signal, TwoLevelParticle(1e307), 50.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            fn()
+
+
+def test_selectivity_refuses_zero_probes():
+    from superosc.errors import DegenerateDenominator
+
+    from superosc.dynamics import DetuningScan
+
+    scan = DetuningScan(gaps=np.array([2.0, 1.6, 2.4]), probabilities=np.zeros(3), t=1.0,
+                        coupling=0.0)
+    with pytest.raises(DegenerateDenominator):
+        scan.selectivity(2.0)
+
+
+# ------------------------------------------ properties of the detector ----
+
+_T_CURVE = np.geomspace(5 * 2 * math.pi / OMEGA, 50.0, 16)
+
+
+def _with_values(s, values, z_min=None):
+    return SampledSignal(z_min=s.z_min if z_min is None else z_min, dz=s.dz, values=values,
+                         route=s.route, k_max=s.k_max, label=s.label)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-40, 40))
+def test_probability_scales_as_amplitude_squared(k, dyn_signal, dyn_particle):
+    # multiplying by 2^k is exact in every step, the spline fit included
+    curve = probability_curve(dyn_signal, dyn_particle, _T_CURVE)
+    scaled = probability_curve(_with_values(dyn_signal, dyn_signal.values * 2.0**k),
+                               dyn_particle, _T_CURVE)
+    assert np.array_equal(scaled.values, curve.values * 4.0**k)
+    window = (_T_CURVE[0], _T_CURVE[-1])
+    assert fit_exponent(scaled, window).exponent == pytest.approx(
+        fit_exponent(curve, window).exponent, abs=1e-12)
+
+
+_COEFF = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)  # no subnormal products
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_COEFF, b=_COEFF, roll=st.integers(1, 5000), gap=st.floats(0.2, 20.0))
+def test_amplitudes_are_linear_in_the_samples(a, b, roll, gap, dyn_signal):
+    from superosc.dynamics import _excitation_amplitudes
+
+    f, g = dyn_signal.values, np.roll(dyn_signal.values, roll)
+    times, gaps = _T_CURVE, np.array([gap, OMEGA])
+    amp_f = _excitation_amplitudes(dyn_signal, gaps, times, 0.0)
+    amp_g = _excitation_amplitudes(_with_values(dyn_signal, g), gaps, times, 0.0)
+    amp_fg = _excitation_amplitudes(_with_values(dyn_signal, a * f + b * g), gaps, times, 0.0)
+    scale = abs(a) * np.abs(amp_f).max() + abs(b) * np.abs(amp_g).max()
+    assert np.abs(amp_fg - (a * amp_f + b * amp_g)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(-2000, 2000), gap=st.floats(0.2, 20.0))
+def test_shifting_signal_and_detector_is_a_unit_phase(m, gap, dyn_signal):
+    # A is measured from the detector's own position, so the unit phase is 1
+    from superosc.dynamics import _excitation_amplitudes
+
+    shift = m * dyn_signal.dz
+    moved = _with_values(dyn_signal, dyn_signal.values, z_min=dyn_signal.z_min + shift)
+    amp = _excitation_amplitudes(dyn_signal, gap, _T_CURVE, 0.0)
+    amp_moved = _excitation_amplitudes(moved, gap, _T_CURVE, shift)
+    assert np.abs(np.abs(amp_moved) - np.abs(amp)).max() <= 1e-11 * np.abs(amp).max()
+    assert np.abs(amp_moved - amp).max() <= 1e-11 * np.abs(amp).max()

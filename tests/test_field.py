@@ -88,6 +88,26 @@ def test_fourier_requires_matching_box(mild_pair_real):
         fourier_coeffs(mild_pair_real, grid)
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_fourier_coeffs_refuses_nyquist_mode(n):
+    # a unit wave at the top mode index n // 2: below Nyquist for odd n, at it for even n,
+    # where a cosine would read a = 2 and rebuild off by 1 at every sample
+    dz = 0.25
+    box = n * dz
+    top = n // 2
+    z = -4.0 + dz * np.arange(n)
+    s = SampledSignal(z_min=-4.0, dz=dz, values=np.cos(2 * math.pi * top * z / box),
+                      route="windowed", k_max=1.0)
+    grid = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 1))
+    if n % 2 == 0:
+        with pytest.raises(TruncationError):
+            fourier_coeffs(s, grid)
+        return
+    fc = fourier_coeffs(s, grid)
+    assert fc.a[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(fc.reconstruct(z) - s.values).max() <= 1e-12
+
+
 # ------------------------------------------------------------ amplitudes ----
 
 

@@ -11,11 +11,19 @@ from that revision's own ``fixtures/``.  It then compares, file by file:
 * each CSV series and ``sweep_points.jsonl``;
 * the exit code and stderr of every run.
 
-Each compared file prints "identical", or the largest absolute and relative
-change of its numeric fields and the first field that differs in any other
-way.  The exit code is 1 when a non-numeric field differs, a field or file is
-present on one side only, or a relative change exceeds ``--rel-bound``
-(default 0: any change); else 0.
+It also runs WARM_OPS (4) seeded draws of the ``pipeline_warm`` benchmark op
+on each revision, in a fresh interpreter that imports that revision's own
+``perfbench/worker.py`` and ``src/``, and compares each output of
+``Pipeline.run`` over all draws: the certificate leakage and
+``freq_rel_dev``, the fit, the detune selectivities, the energy residual and
+ladder, and the signal and field arrays, as well as what ``Pipeline.check``
+reports.  The draws come from the WARM_SEED (41) stream of worker index 0.
+
+Each compared file or output prints "identical", or the largest absolute and
+relative change of its numeric fields and the first field that differs in any
+other way.  The exit code is 1 when a non-numeric field differs, a field or
+file is present on one side only, or a relative change exceeds
+``--rel-bound`` (default 0: any change); else 0.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,6 +41,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +60,8 @@ RUNS = [
 ]
 SWEEP_SEED = 41
 SWEEP_LADDER = 10  # values per swept key: 10 x 10 points
+WARM_OPS = 4  # pipeline_warm draws per revision
+WARM_SEED = 41
 
 
 def _sweep_config(fixture: Path, path: Path) -> None:
@@ -94,6 +107,56 @@ def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
                 files[path.name] = list(csv.reader(io.StringIO(text)))
         results[name] = files
     return results
+
+
+def _warm_child(tree: str, out: str) -> None:
+    """In a fresh interpreter: run WARM_OPS pipeline_warm draws of ``tree``, save to ``out``.
+
+    Every output of ``Pipeline.run`` is saved flat, as ``op<i>.<name>``: a
+    dataclass by its fields, a list or array as an array.
+    """
+    sys.path[:0] = [str(Path(tree) / "perfbench"), str(Path(tree) / "src")]
+    import superosc
+    import worker
+
+    wl = worker.Pipeline(superosc, random.Random(f"pipeline_warm:{WARM_SEED}:0"))
+    flat: dict[str, np.ndarray] = {}
+    for i in range(WARM_OPS):
+        d = wl.draw()
+        out_i = wl.run(d)
+        fields = dict(d)
+        for name, value in out_i.items():
+            if dataclasses.is_dataclass(value):
+                fields.update({f"{name}.{k}": v for k, v in dataclasses.asdict(value).items()})
+            else:
+                fields[name] = value
+        fields["check"] = np.array(wl.check(d, out_i), dtype=str)
+        flat.update({f"op{i}.{name}": np.asarray(v) for name, v in fields.items()})
+    np.savez(out, **flat)
+
+
+def run_warm(tree: Path, out: Path) -> dict[str, np.ndarray]:
+    """The pipeline_warm outputs of one checkout, from a child interpreter."""
+    path = out / "warm.npz"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run([sys.executable, __file__, "--warm-child", str(tree), str(path)],
+                   check=True, env=env, cwd=out)
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
+def _report(label: str, result: tuple, rel_bound: float) -> tuple[str, bool, bool]:
+    """One printed line for a compare result, and whether it changed and failed."""
+    max_abs, at_abs, max_rel, at_rel, other = result
+    if other is None and max_abs == 0.0:
+        return f"{label}: identical", False, False
+    parts = []
+    if max_abs:
+        parts.append(f"max abs change {max_abs:.3g} at {at_abs}, "
+                     f"max rel change {max_rel:.3g} at {at_rel}")
+    if other:
+        parts.append(f"differs: {other}")
+    return f"{label}: " + "; ".join(parts), True, other is not None or max_rel > rel_bound
 
 
 def _leaves(obj, path: str = ""):
@@ -142,6 +205,10 @@ def compare(a, b) -> tuple[float, str, float, str, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--warm-child"]:
+        _warm_child(*argv[1:])
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev_a")
     ap.add_argument("rev_b")
@@ -157,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
                 subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                                 str(tree), rev], check=True)
                 (tmp / label / "out").mkdir()
-                sides.append(run_all(tree, tmp / label / "out"))
+                sides.append((run_all(tree, tmp / label / "out"),
+                              run_warm(tree, tmp / label / "out")))
         finally:
             for label in ("a", "b"):
                 if (tmp / label / "tree").exists():
@@ -165,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
                                     str(tmp / label / "tree")], check=False)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=False)
 
-    runs_a, runs_b = sides
+    (runs_a, warm_a), (runs_b, warm_b) = sides
     failed = changed = False
     print(f"payload diff {args.rev_a} -> {args.rev_b} (rel bound {args.rel_bound:g})")
     for name, _, _ in RUNS:
@@ -175,19 +243,20 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {name}/{fname}: present on one side only")
                 failed = changed = True
                 continue
-            max_abs, at_abs, max_rel, at_rel, other = compare(files_a[fname], files_b[fname])
-            if other is None and max_abs == 0.0:
-                print(f"  {name}/{fname}: identical")
-                continue
-            changed = True
-            parts = []
-            if max_abs:
-                parts.append(f"max abs change {max_abs:.3g} at {at_abs}, "
-                             f"max rel change {max_rel:.3g} at {at_rel}")
-            if other:
-                parts.append(f"differs: {other}")
-            print(f"  {name}/{fname}: " + "; ".join(parts))
-            failed |= other is not None or max_rel > args.rel_bound
+            line, moved, bad = _report(f"  {name}/{fname}",
+                                       compare(files_a[fname], files_b[fname]), args.rel_bound)
+            print(line)
+            changed, failed = changed or moved, failed or bad
+    outputs: dict[str, list[str]] = {}
+    for key in sorted(warm_a.keys() | warm_b.keys()):
+        outputs.setdefault(key.split(".", 1)[1], []).append(key)
+    for name, keys in sorted(outputs.items()):
+        side_a = {key: warm_a[key].tolist() for key in keys if key in warm_a}
+        side_b = {key: warm_b[key].tolist() for key in keys if key in warm_b}
+        line, moved, bad = _report(f"  pipeline_warm/{name} ({len(keys)} ops)",
+                                   compare(side_a, side_b), args.rel_bound)
+        print(line)
+        changed, failed = changed or moved, failed or bad
     print("CHANGED beyond bound" if failed else "within bound" if changed else "identical")
     return 1 if failed else 0
 
