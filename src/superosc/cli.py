@@ -145,7 +145,7 @@ _KEYS = {
     ("particle", "gap"): ("gap", "matched", "(0, inf)"),
     ("particle", "coupling"): ("float", 1.0, None),
     ("particle", "detector_z"): ("float", 0.0, None),
-    ("transition", "t_lo_periods"): ("float", 5.0, None),
+    ("transition", "t_lo_periods"): ("float", 5.0, "(0, inf)"),
     ("transition", "t_hi"): ("float", None, None),  # defaults to the pair's extent
     ("transition", "n_points"): ("int", 48, "[2, 4096]"),
     ("transition", "assert_quadratic"): ("bool", False, None),

@@ -15,30 +15,28 @@ quadrature error; it depends on Omega and t only through theta = Omega*t:
     I2/E = -(theta^2/4 - sin(2 theta)^2/16 - sin(theta)^4/4)
            / (sin(theta)^4/4 + (theta/2 - sin(2 theta)/4)^2)
 
-I3's k integral depends only on the UV cutoff, Omega, t and the node
-density, not on the waveform's amplitude or the box, so ``_i3_integral``
-holds it in a bounded LRU cache keyed by (k_uv, Omega, t, n_per_period),
-maxsize 16.  ``compute_I3`` divides the cached float by box_length^2 and the
-denominator on every call, as before, so its result is unchanged.
+I3's k integral is elementary too: with u = Omega + k its integrand
+k^2 4 sin^2(ut/2)/u^2 is 2(1 - 2 Omega/u + Omega^2/u^2)(1 - cos ut), with the
+antiderivative in the sine and cosine integrals (DLMF 6.2)
+
+    G(u) = 2[(u - sin(ut)/t) - 2 Omega (ln u - Ci(ut))
+             + Omega^2 (cos(ut)/u - 1/u + t Si(ut))]
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from scipy.special import sici
 
 from .dynamics import TwoLevelParticle
 from .errors import BalanceViolation, CutoffMissing, DegenerateDenominator, DomainError
 from .field import CoherentAmplitudes, ModeGrid, energy_before
-from .params import MAX_COUNT
 
 MIN_THETA = 4.0 * math.pi      # below this the closed form is not trusted
 BALANCE_THETA = 40.0 * math.pi  # minimum for a full balance report
 RESIDUAL_TOL = 0.05
-_I3_N_PER_PERIOD = 16
 
 
 def i2_over_gap(theta: float) -> float:
@@ -48,7 +46,7 @@ def i2_over_gap(theta: float) -> float:
     s2 = math.sin(2.0 * theta)
     s1 = math.sin(theta)
     numerator = theta**2 / 4.0 - s2**2 / 16.0 - s1**4 / 4.0
-    denominator = s1**4 / 4.0 + (theta / 2.0 - s2 / 4.0) ** 2
+    denominator = sine_overlap_denominator(1.0, theta)
     if denominator < 1e-12:
         raise DegenerateDenominator(f"sine-overlap denominator vanished at theta={theta}")
     return -numerator / denominator
@@ -78,34 +76,29 @@ def compute_I1(ca: CoherentAmplitudes) -> float:
 
 
 def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
-               denominator: float, n_per_period: int = _I3_N_PER_PERIOD) -> float:
+               denominator: float) -> float:
     """Box-suppressed remainder with explicit UV cutoff.
 
     Per mode the time integrals collapse to 4 sin^2((Omega+w)t/2)/(Omega+w)^2;
-    the k integral runs to the cutoff and is done by trapezoid with the
-    oscillation in k resolved at n_per_period nodes per period.
+    the k integral to the cutoff is G(Omega + k_uv) - G(Omega) (see the module
+    docstring), taken term by term so that no two large values cancel.
     """
     if grid.uv_cutoff is None:
         raise CutoffMissing("compute_I3 requires uv_cutoff on the mode grid")
     if denominator <= 0.0:
         raise DegenerateDenominator("denominator must be positive")
-    integral = _i3_integral(grid.uv_cutoff, gap_frequency, t, n_per_period)
-    return integral / (grid.box_length**2 * denominator)
-
-
-@functools.lru_cache(maxsize=16)
-def _i3_integral(k_uv: float, gap_frequency: float, t: float, n_per_period: int) -> float:
-    """The k integral of ``compute_I3``, to the cutoff k_uv."""
-    nodes = k_uv * t / (2.0 * math.pi) * n_per_period
-    if not nodes <= MAX_COUNT:
-        raise DomainError(f"{nodes:.3g} k nodes up to the UV cutoff exceed {MAX_COUNT}")
-    n = max(1024, int(math.ceil(nodes)))
-    k = np.linspace(0.0, k_uv, n + 1)
-    w = k  # omega = c k
-    integrand = k**2 * 4.0 * np.sin((gap_frequency + w) * t / 2.0) ** 2 / (
-        gap_frequency + w
-    ) ** 2
-    return float(np.trapezoid(integrand, k))
+    om, k_uv = gap_frequency, grid.uv_cutoff
+    u1 = om + k_uv
+    x0, x1 = om * t, u1 * t
+    if not (om > 0.0 and t > 0.0 and math.isfinite(x1)):
+        raise DomainError(f"compute_I3 requires Omega > 0, t > 0 and a finite "
+                          f"(Omega + k_uv) t, got {x1:g}")
+    (si0, si1), (ci0, ci1) = sici([x0, x1])
+    linear = k_uv - (math.sin(x1) - math.sin(x0)) / t
+    log = math.log1p(k_uv / om) - (ci1 - ci0)
+    inverse = math.cos(x1) / u1 - math.cos(x0) / om + k_uv / (om * u1) + t * (si1 - si0)
+    integral = 2.0 * (linear - 2.0 * om * log + om**2 * inverse)
+    return float(integral / (grid.box_length**2 * denominator))
 
 
 @dataclass(frozen=True)

@@ -173,11 +173,13 @@ class WindowSpec:
 
     def log_profile(self, z):
         """log h(z), vectorized; exactly 0 for the identity window."""
-        if self.is_identity:
-            import numpy as np
+        import numpy as np
 
+        if self.is_identity:
             return np.zeros_like(np.asarray(z, dtype=float))
-        return -0.5 * (self.half_width * z) ** 2
+        # where the square overflows, h underflows to 0 and -inf is its exact log
+        with np.errstate(over="ignore"):
+            return -0.5 * (self.half_width * z) ** 2
 
     def profile(self, z):
         """h(z) = exp(-(half_width*z)^2/2); even, h(0) = 1, decreasing in |z|."""

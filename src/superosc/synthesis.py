@@ -120,7 +120,10 @@ def _bessel_kernel(inv_sq_delta: float, boost: float, band_limit: float, z) -> _
 
     j0 where the radicand is >= 0, the scaled i0e in the growth region.
     """
-    rad = _radicand(inv_sq_delta, boost, band_limit, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        rad = _radicand(inv_sq_delta, boost, band_limit, z)
+    if not np.isfinite(rad).all():
+        raise DomainError("the Bessel radicand is not finite on these points")
     oscillatory = rad >= 0.0
     jval = j0(inv_sq_delta * np.sqrt(rad[oscillatory]))
     with np.errstate(divide="ignore"):

@@ -1,20 +1,16 @@
-"""The amplitude-independent caches of synthesis and energy.
+"""The amplitude-independent caches of synthesis.
 
 Each cached sample must equal the uncached evaluation of the same points
 exactly, whatever amplitude filled the cache first, and every cached array
 must be read-only so that no caller can corrupt the next one's result.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from superosc import SuperoscParams, combine_pair, compute_I3, sample_component
-from superosc import energy, synthesis
+from superosc import SuperoscParams, combine_pair, sample_component
+from superosc import synthesis
 from superosc.cli import _window_from
-from superosc.energy import sine_overlap_denominator
-from superosc.field import ModeGrid
 from superosc.synthesis import component_log, growth_region
 
 from conftest import MILD, MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
@@ -102,18 +98,3 @@ def test_boost_ladder_on_one_grid_stays_exact_and_bounded():
     for cache in SYNTH_CACHES:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
-def test_cached_i3_equals_uncached_integral():
-    energy._i3_integral.cache_clear()
-    gap, uv = 2.0, 50.0
-    for theta_over_pi in (40.0, 100.0):
-        t = theta_over_pi * math.pi / gap
-        integral = energy._i3_integral.__wrapped__(uv, gap, t, energy._I3_N_PER_PERIOD)
-        for box, amplitude in ((1e4, 1.0), (1e5, 1e-3), (1e4, 1.0)):
-            grid = ModeGrid.for_box(box, k_cut=2.0, uv_cutoff=uv)
-            denom = sine_overlap_denominator(gap, t, amplitude)
-            assert compute_I3(grid, gap, t, denom) == integral / (box**2 * denom)
-    info = energy._i3_integral.cache_info()
-    assert info.misses == 2 and info.hits == 4
-    assert info.currsize <= info.maxsize

@@ -418,9 +418,6 @@ def test_config_read_once_per_run(tmp_path, monkeypatch):
     ("transition.cfg", "transition", "transition", "n_points", "4097"),
     ("freqmap_cert.cfg", "freq-map", "freqmap", "window_fraction", "5"),
     ("freqmap_cert.cfg", "freq-map", "freqmap", "window_fraction", "0"),
-    ("energy.cfg", "energy", "modes", "uv_cutoff", "1e6"),
-    ("energy.cfg", "energy", "energy", "theta_over_pi", "1e6"),
-    ("energy.cfg", "energy", "energy", "ladder_over_pi", "40,1e9"),
     ("sweep_boost_ladder.cfg", "sweep", "sweep", "extent", f"lin:10:20:{10**9}"),
     ("sweep_boost_ladder.cfg", "sweep", "sweep", "extent", "lin:10:20:40000"),  # x 3 boosts
 ])
@@ -429,6 +426,20 @@ def test_oversized_counts_exit_2(fixture, experiment, section, key, value, tmp_p
     rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
     assert rc == 2 and "Traceback" not in err
     assert err.startswith(("config error:", "validation error:"))
+
+
+@pytest.mark.parametrize("section,key,value,code", [
+    ("modes", "uv_cutoff", "1e6", 3),  # I3 grows linearly with the cutoff
+    ("energy", "theta_over_pi", "1e6", 0),
+    ("energy", "ladder_over_pi", "40,1e9", 0),
+])
+def test_energy_has_no_count_in_cutoff_or_theta(section, key, value, code, tmp_path, capsys):
+    # I3 is in closed form, so a large cutoff or Omega t allocates nothing
+    cfg = _edited("energy.cfg", tmp_path, section, key, value)
+    rc, err = _main_err("energy", cfg, tmp_path / "out", capsys)
+    assert rc == code, err
+    if code == 3:
+        assert err.startswith("assertion failure: |residual|")
 
 
 @pytest.mark.parametrize("fixture,experiment,section,key,value", [

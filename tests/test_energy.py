@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,89 @@ def test_i3_requires_cutoff():
     grid = ModeGrid.for_box(1e4, k_cut=2.0, uv_cutoff=None)
     with pytest.raises(CutoffMissing):
         compute_I3(grid, 2.0, 100.0, 1.0)
+
+
+def _k_integral(gap, t, uv):
+    """compute_I3's bare k integral: box 2 and denominator 1, so times 4 is exact."""
+    grid = ModeGrid(box_length=2.0, wavenumbers=np.array([math.pi]), uv_cutoff=uv)
+    return 4.0 * compute_I3(grid, gap, t, 1.0)
+
+
+def _i3_integral_mp(k_uv, gap, t):
+    """G(gap + k_uv) - G(gap) at 40 digits, its float arguments taken as exact."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k_uv, om, t = mp.mpf(k_uv), mp.mpf(gap), mp.mpf(t)
+
+        def antiderivative(u):
+            x = u * t
+            return 2 * ((u - mp.sin(x) / t) - 2 * om * (mp.log(u) - mp.ci(x))
+                        + om**2 * (mp.cos(x) / u - 1 / u + t * mp.si(x)))
+
+        return antiderivative(om + k_uv) - antiderivative(om)
+
+
+@pytest.mark.parametrize("uv", [50.0, 200.0])
+@pytest.mark.parametrize("theta_over_pi", [40.0, 100.0, 400.0])
+@pytest.mark.parametrize("gap", [1.5, 2.0, 3.0])
+def test_i3_matches_mpmath_antiderivative(gap, theta_over_pi, uv):
+    t = theta_over_pi * math.pi / gap
+    ref = float(_i3_integral_mp(uv, gap, t))
+    assert _k_integral(gap, t, uv) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_i3_antiderivative_matches_quadrature():
+    # the raw integrand k^2 4 sin^2((Omega+k)t/2)/(Omega+k)^2, split at its zeros
+    import mpmath as mp
+
+    gap, uv = 2.0, 5.0
+    t = 40.0 * math.pi / gap
+    with mp.workdps(40):
+        om, tt = mp.mpf(gap), mp.mpf(t)
+        period = 2 * mp.pi / tt
+        zeros = [n * period - om for n in range(int(mp.ceil(om / period)),
+                                                int(mp.floor((om + uv) / period)) + 1)]
+        nodes = [mp.mpf(0)] + [k for k in zeros if 0 < k < uv] + [mp.mpf(uv)]
+        quad = mp.quad(lambda k: k**2 * 4 * mp.sin((om + k) * tt / 2) ** 2 / (om + k) ** 2,
+                       nodes)
+        assert abs(_i3_integral_mp(uv, gap, t) / quad - 1) < mp.mpf("1e-30")
+    assert _k_integral(gap, t, uv) == pytest.approx(float(quad), rel=1e-13)
+
+
+@pytest.mark.parametrize("gap,t,uv", [
+    (2.0, 0.0, 50.0),
+    (2.0, -50.0 * math.pi, 50.0),
+    (2.0, math.nan, 50.0),
+    (0.0, 50.0 * math.pi, 50.0),
+    (2.0, 50.0 * math.pi, 1e308),  # (Omega + k_uv) t overflows
+])
+def test_i3_domain(gap, t, uv):
+    with pytest.raises(DomainError):
+        _k_integral(gap, t, uv)
+
+
+def test_sweep_box_ladder_i3_matches_mpmath(tmp_path):
+    # off the matched gap: Omega is the pair's wavenumber, 1.5 and 3 here
+    from superosc.cli import main
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "[run]\nexperiment = sweep\n"
+        "[superosc]\namplitude = 1.0\nm_phase = 2000\nband_limit = 1.0\nextent = 50\n"
+        "[modes]\nuv_cutoff = 50\n"
+        "[sweep]\nboost_arccosh = list:2,5\nbox_length = list:1e4,1e5\n"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    lines = (tmp_path / "out" / "sweep_points.jsonl").read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        item = json.loads(line)
+        gap, box = item["payload"]["target_wavenumber"], item["point"]["box_length"]
+        t = 100.0 * math.pi / gap
+        ref = float(_i3_integral_mp(50.0, gap, t)) / (
+            box**2 * sine_overlap_denominator(gap, t, 1.0) * gap)
+        assert item["payload"]["i3_over_gap"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # -------------------------------------------------------------------- I1 ----
