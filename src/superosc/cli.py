@@ -40,7 +40,7 @@ from .errors import BalanceViolation, ConfigError, DegenerateDenominator, Supero
 from .field import ModeGrid, amplitudes_from_spectrum
 from .frequency import frequency_profile, window_frequency
 from .params import MAX_COUNT, SuperoscParams, WindowSpec, locked_delta
-from .signal import SampledSignal
+from .signal import SampledSignal, max_dz
 from .spectral import parseval_residual, spectrum
 from .synthesis import PairSynthesizer, combine_pair, make_real_superosc, sample_component, synth_bessel
 
@@ -316,10 +316,10 @@ def _grid_from(conf: dict, pair_k_max: float | None = None):
     if "dz" not in g and "box_length" not in g:
         raise ConfigError("missing key [grid] dz (or box_length)")
     dz = g["dz"] if "dz" in g else g["box_length"] / n
-    if pair_k_max is not None and dz > math.pi / (4.0 * pair_k_max):
+    if pair_k_max is not None and dz > max_dz(pair_k_max):
         raise ConfigError(
             f"[grid] dz = {dz:g} too coarse for k_max = {pair_k_max:g} "
-            f"(need dz <= {math.pi / (4 * pair_k_max):g})"
+            f"(need dz <= {max_dz(pair_k_max):g})"
         )
     return z_min, dz, n
 

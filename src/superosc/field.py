@@ -1,8 +1,11 @@
 """Coherent-state description of the field realizing a sampled waveform.
 
 A box of length L carries modes k_n = 2 pi n / L (n >= 1) with omega = c k
-(c = 1 in working units).  The mode lattice is exactly the DFT lattice of a
-signal sampled on a box of the same length, so the map
+(c = 1 in working units).  A mode grid is the pair (L, n_modes): the modes
+n = 1 .. n_modes, whose wavenumbers are derived from L and never stored
+apart from it.  Mode n is DFT bin n of a signal sampled on a box of the same
+length, so every lattice index is a slice (bins 1 .. n_modes of the rfft
+half, or n_samples // 2 + 1 onward on the signed spectral grid), and the map
 signal -> spectrum -> per-mode amplitudes -> field expectation is an exact
 round trip up to the dropped k <= 0 bins.
 
@@ -21,7 +24,7 @@ shift theorem instead of a second phase ramp exp(-i omega t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,20 +39,19 @@ ENERGY_ROUTE_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
-    """Positive-k mode lattice of a quantization box."""
+    """The n_modes lowest positive-k modes k_n = n 2 pi / L of a box of length L."""
 
     box_length: float
-    wavenumbers: np.ndarray
+    n_modes: int
     uv_cutoff: float | None = None
+    wavenumbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = np.asarray(self.wavenumbers, dtype=float)
-        if k.ndim != 1 or k.size < 1:
-            raise ValueError("wavenumbers must be a non-empty 1-d array")
-        dk = 2.0 * math.pi / self.box_length
-        n = np.rint(k / dk)
-        if n[0] < 1 or not np.allclose(k, n * dk, rtol=1e-9, atol=0.0):
-            raise ValueError("wavenumbers must be positive multiples of 2 pi / L")
+        if not (self.box_length > 0.0 and math.isfinite(self.box_length)):
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
+        if not 1 <= self.n_modes <= MAX_COUNT:
+            raise ValueError(f"n_modes = {self.n_modes} outside [1, {MAX_COUNT}]")
+        k = self.dk * np.arange(1, self.n_modes + 1)
         if self.uv_cutoff is not None:
             if self.uv_cutoff <= 0.0:
                 raise ValueError("uv_cutoff must be positive")
@@ -68,29 +70,34 @@ class ModeGrid:
     @classmethod
     def for_box(cls, box_length: float, k_cut: float,
                 uv_cutoff: float | None = None) -> "ModeGrid":
-        dk = 2.0 * math.pi / box_length
-        n = int(math.floor(k_cut / dk))
-        if n < 1:
-            raise ValueError("box too small: no mode below k_cut")
-        if n > MAX_COUNT:
-            raise ValueError(f"{n} modes below k_cut exceed {MAX_COUNT}")
-        return cls(box_length=box_length, wavenumbers=dk * np.arange(1, n + 1),
-                   uv_cutoff=uv_cutoff)
+        """Every mode of the box with k <= k_cut."""
+        n = int(math.floor(k_cut / (2.0 * math.pi / box_length)))
+        return cls(box_length=box_length, n_modes=n, uv_cutoff=uv_cutoff)
 
     @classmethod
-    def for_signal(cls, s: SampledSignal, k_cut: float | None = None,
-                   uv_cutoff: float | None = None) -> "ModeGrid":
-        """Mode lattice of the signal's box; defaults to the full half-lattice.
+    def for_signal(cls, s: SampledSignal, uv_cutoff: float | None = None) -> "ModeGrid":
+        """Mode lattice of the signal's box: the full half-lattice below Nyquist.
 
-        The full lattice (all positive DFT bins below Nyquist) makes the
-        signal -> amplitudes -> expectation round trip exact to rounding.
+        The full lattice makes the signal -> amplitudes -> expectation round
+        trip exact to rounding.
         """
-        if k_cut is None:
-            dk = 2.0 * math.pi / s.box_length
-            n = s.n // 2 - 1
-            return cls(box_length=s.box_length, wavenumbers=dk * np.arange(1, n + 1),
-                       uv_cutoff=uv_cutoff)
-        return cls.for_box(s.box_length, k_cut, uv_cutoff)
+        return cls(box_length=s.box_length, n_modes=s.n // 2 - 1, uv_cutoff=uv_cutoff)
+
+
+def _mode_sum(k: np.ndarray, a: np.ndarray, b: np.ndarray, z, t: float) -> np.ndarray:
+    """Direct sum_n a_n cos(k_n z - w_n t) + b_n sin(k_n z - w_n t), w = c k.
+
+    Chunked over modes to bound memory.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.zeros(z.size)
+    step = 4096
+    for i in range(0, k.size, step):
+        kk = k[i:i + step]
+        ph = np.outer(z, kk) - kk * t
+        out += np.sin(ph) @ b[i:i + step]
+        out += np.cos(ph) @ a[i:i + step]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,23 +110,14 @@ class FourierCoeffs:
 
     def reconstruct(self, z, t: float = 0.0) -> np.ndarray:
         """Direct resummation sum_n a_n cos(k z - w t) + b_n sin(k z - w t)."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        k = self.grid.wavenumbers
-        out = np.zeros(z.size)
-        # chunk over modes to bound memory
-        step = 4096
-        for i in range(0, k.size, step):
-            kk = k[i:i + step]
-            ph = np.outer(z, kk) - kk * t
-            out += np.cos(ph) @ self.a[i:i + step] + np.sin(ph) @ self.b[i:i + step]
-        return out
+        return _mode_sum(self.grid.wavenumbers, self.a, self.b, z, t)
 
 
 def fourier_coeffs(s: SampledSignal, grid: ModeGrid) -> FourierCoeffs:
     """Cosine/sine coefficients a_n = (2/L) int F cos(k_n z), b_n likewise with sine.
 
-    Rectangle-rule quadrature on the sample grid, evaluated through the DFT
-    (exactly the same sum when the mode lattice matches the sample box).
+    Rectangle-rule quadrature on the sample grid, evaluated through the DFT:
+    mode n is DFT bin n of the signal's box.
     """
     if not s.real_valued:
         raise TruncationError("fourier_coeffs requires a real-valued signal")
@@ -127,23 +125,38 @@ def fourier_coeffs(s: SampledSignal, grid: ModeGrid) -> FourierCoeffs:
         raise TruncationError(
             f"mode lattice box {grid.box_length} != signal box {s.box_length}"
         )
-    transform = box_fft(s.values, s.z_min, s.dz)
-    idx = np.rint(grid.wavenumbers / grid.dk).astype(int)
-    if 2 * idx.max() >= s.n:
+    m = grid.n_modes
+    if 2 * m >= s.n:
         raise TruncationError("mode lattice reaches the Nyquist wavenumber")
-    coeff = (2.0 / grid.box_length) * transform[idx]
+    transform = box_fft(s.values, s.z_min, s.dz)
+    coeff = (2.0 / grid.box_length) * transform[1:m + 1]
     return FourierCoeffs(grid=grid, a=np.real(coeff), b=-np.imag(coeff))
 
 
 @dataclass(frozen=True, eq=False)
 class CoherentAmplitudes:
-    """Per-mode coherent amplitudes alpha_k plus the originating box geometry."""
+    """Per-mode coherent amplitudes alpha_k on the sample box they were read from.
+
+    The box is the n_samples points z_min + p dz; its length n_samples * dz
+    must be the mode grid's box length.
+    """
 
     grid: ModeGrid
     alpha: np.ndarray
-    z_min: float = 0.0
-    dz: float = 1.0
-    n_samples: int = 0
+    z_min: float
+    dz: float
+    n_samples: int
+
+    def __post_init__(self):
+        if np.shape(self.alpha) != (self.grid.n_modes,):
+            raise ValueError(
+                f"alpha has shape {np.shape(self.alpha)}; the grid has {self.grid.n_modes} modes"
+            )
+        if not math.isclose(self.n_samples * self.dz, self.grid.box_length, rel_tol=1e-9):
+            raise ValueError(
+                f"sample box {self.n_samples} x {self.dz} != mode grid box "
+                f"{self.grid.box_length}"
+            )
 
     @property
     def mean_photon_numbers(self) -> np.ndarray:
@@ -164,9 +177,11 @@ def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid,
                              require_band_limited: float | None = None) -> CoherentAmplitudes:
     """alpha_k = i sqrt(L/(2 pi omega_k)) F(k_n) on the mode lattice.
 
-    Pass ``require_band_limited=half_width`` to insist the spectral density
-    carries its band-confinement certificate for that blur width first
-    (grid-truncated signals are legitimate states but not certifiable).
+    Mode n is spectral bin n // 2 + n of the signed-k grid, whose k = 0 bin
+    sits at n_samples // 2.  Pass ``require_band_limited=half_width`` to
+    insist the spectral density carries its band-confinement certificate for
+    that blur width first (grid-truncated signals are legitimate states but
+    not certifiable).
     """
     if require_band_limited is not None and not sd.is_band_limited(require_band_limited):
         raise TruncationError(
@@ -176,13 +191,10 @@ def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid,
         raise TruncationError(
             f"spectral spacing {sd.dk} does not match mode spacing {grid.dk}"
         )
-    idx0 = int(np.rint((0.0 - sd.k[0]) / sd.dk))
-    idx = idx0 + np.rint(grid.wavenumbers / grid.dk).astype(int)
-    if idx.max() >= sd.k.size:
+    first = sd.n_samples // 2 + 1
+    if first + grid.n_modes > sd.n_samples:
         raise TruncationError("mode lattice not covered by the spectral grid")
-    if not np.allclose(sd.k[idx], grid.wavenumbers, rtol=1e-9, atol=sd.dk * 1e-9):
-        raise TruncationError("mode lattice misaligned with the spectral grid")
-    f_k = sd.values[idx]
+    f_k = sd.values[first:first + grid.n_modes]
     alpha = 1j * np.sqrt(grid.box_length / (2.0 * math.pi * grid.omega)) * f_k
     if not np.all(np.isfinite(alpha)):
         raise InfraredError("divergent amplitude on the lowest modes")
@@ -199,28 +211,17 @@ def expectation_B(ca: CoherentAmplitudes, z=None, t: float = 0.0):
     performs the direct mode sum.
     """
     if z is None:
-        if ca.n_samples == 0:
-            raise ValueError("amplitudes carry no box geometry; pass z explicitly")
-        n = ca.n_samples
-        idx = np.rint(ca.grid.wavenumbers / ca.grid.dk).astype(int)
-        if 2 * idx.max() >= n:
+        n, m = ca.n_samples, ca.grid.n_modes
+        if 2 * m >= n:
             raise TruncationError("mode lattice reaches the Nyquist wavenumber of the grid")
         half = np.zeros(n // 2 + 1, dtype=complex)
-        half[idx] = ca.spectral_values()
+        half[1:m + 1] = ca.spectral_values()
         # irfft supplies the k < 0 half as the conjugate mirror of the modes
         return box_irfft(half, ca.z_min - t, ca.dz, n)
 
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    k = ca.grid.wavenumbers
-    w = ca.grid.omega
-    L = ca.grid.box_length
-    coeff = np.sqrt(8.0 * math.pi * w / L**3)
-    out = np.zeros(z.size)
-    step = 4096
-    for i in range(0, k.size, step):
-        ph = np.outer(z, k[i:i + step]) - w[i:i + step] * t
-        out += np.sin(ph) @ (coeff[i:i + step] * np.real(ca.alpha[i:i + step]))
-        out += np.cos(ph) @ (coeff[i:i + step] * np.imag(ca.alpha[i:i + step]))
+    coeff = np.sqrt(8.0 * math.pi * ca.grid.omega / ca.grid.box_length**3)
+    out = _mode_sum(ca.grid.wavenumbers, coeff * np.imag(ca.alpha),
+                    coeff * np.real(ca.alpha), z, t)
     return out if out.size > 1 else float(out[0])
 
 

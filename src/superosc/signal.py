@@ -7,15 +7,15 @@ exactly 2*pi/(n*dz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Sampling rule: at least 8 samples per period of the fastest expected
-# oscillation, i.e. dz <= pi / (4 * k_max).
-SAMPLES_PER_FASTEST = 8
 
-ROUTES = ("integral", "bessel", "asymptotic", "combined", "windowed")
+def max_dz(k_max: float) -> float:
+    """Sampling rule: 8 samples per period of the fastest oscillation, dz <= pi / (4 k_max)."""
+    return math.pi / (4.0 * k_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,14 +23,11 @@ class SampledSignal:
     z_min: float
     dz: float
     values: np.ndarray
-    route: str
     k_max: float
     label: str = ""
     _z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown synthesis route {self.route!r}")
         vals = np.asarray(self.values)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with n >= 2")
@@ -38,10 +35,10 @@ class SampledSignal:
             raise ValueError("dz must be > 0")
         if self.k_max <= 0.0:
             raise ValueError("k_max must be > 0")
-        if self.dz > np.pi / (4.0 * self.k_max) * (1.0 + 1e-12):
+        if self.dz > max_dz(self.k_max) * (1.0 + 1e-12):
             raise ValueError(
                 f"grid underresolved: dz = {self.dz:.4g} exceeds "
-                f"pi/(4*k_max) = {np.pi / (4 * self.k_max):.4g}"
+                f"pi/(4*k_max) = {max_dz(self.k_max):.4g}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite samples")
@@ -83,12 +80,11 @@ class SampledSignal:
     def covers(self, z_lo: float, z_hi: float) -> bool:
         return self.z_min <= z_lo and z_hi <= self.z_max
 
-    def with_values(self, values: np.ndarray, route: str | None = None) -> "SampledSignal":
+    def with_values(self, values: np.ndarray) -> "SampledSignal":
         return SampledSignal(
             z_min=self.z_min,
             dz=self.dz,
             values=values,
-            route=route or self.route,
             k_max=self.k_max,
             label=self.label,
         )

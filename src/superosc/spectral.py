@@ -31,25 +31,29 @@ EPS_BAND_DEFAULT = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    k: np.ndarray
+    """Box transform of n samples at z_min + p dz, on k_j = 2 pi j / (n dz).
+
+    ``values`` runs over signed j in ascending order (``fftshift`` order), so
+    k = 0 sits at index n // 2; ``k`` is derived from the box, never stored
+    independently of it.
+    """
+
     values: np.ndarray
     band_limit: float
-    eps_band: float = EPS_BAND_DEFAULT
-    # originating box (needed to hand mode lattices exactly aligned data)
-    z_min: float = 0.0
-    dz: float = 1.0
-    n_samples: int = 0
-    _dk: float = field(init=False, repr=False)
+    eps_band: float
+    z_min: float
+    dz: float
+    k: np.ndarray = field(init=False, repr=False)
+    dk: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        dk = float(self.k[1] - self.k[0])
-        if not np.allclose(np.diff(self.k), dk, rtol=1e-9, atol=0.0):
-            raise ValueError("k grid must be uniform")
-        object.__setattr__(self, "_dk", dk)
+        k = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.dz))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dk", float(k[1] - k[0]))
 
     @property
-    def dk(self) -> float:
-        return self._dk
+    def n_samples(self) -> int:
+        return self.values.size
 
     def band_energy_fraction(self, k_lo: float, k_hi: float) -> float:
         """Fraction of spectral energy inside [k_lo, k_hi] (overflow-safe)."""
@@ -123,16 +127,16 @@ def spectrum(s: SampledSignal, band_limit: float,
             f"{BOUNDARY_DECAY:.0e}: box does not contain the signal"
         )
     n = s.n
-    k = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=s.dz))
     transform = box_fft(v, s.z_min, s.dz)
     if s.real_valued:  # negative k: the conjugate mirror of the rfft half
         transform = np.concatenate([np.conj(transform[:0:-1]), transform[:n - n // 2]])
     else:
         transform = np.fft.fftshift(transform)
-    if k[0] > -band_limit or k[-1] < 2.0 * band_limit:
+    sd = SpectralDensity(values=transform, band_limit=band_limit, eps_band=eps_band,
+                         z_min=s.z_min, dz=s.dz)
+    if sd.k[0] > -band_limit or sd.k[-1] < 2.0 * band_limit:
         raise TruncationError("k grid does not cover [-k0, 2 k0]; refine dz")
-    return SpectralDensity(k=k, values=transform, band_limit=band_limit,
-                           eps_band=eps_band, z_min=s.z_min, dz=s.dz, n_samples=n)
+    return sd
 
 
 def parseval_residual(s: SampledSignal, sd: SpectralDensity) -> float:

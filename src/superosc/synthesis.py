@@ -378,9 +378,7 @@ class PairSynthesizer:
     ) -> SampledSignal:
         z = _grid(z_min, dz, n)
         vals = self._combine(*self.components_log(z, window, (z_min, dz, n)))
-        route = "combined" if window is None else "windowed"
-        return SampledSignal(z_min=z_min, dz=dz, values=vals, route=route,
-                             k_max=self.k_max, label=label)
+        return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
     def sample_real(
         self,
@@ -393,9 +391,7 @@ class PairSynthesizer:
         """Imaginary part of the combination: ~ amplitude*sin(k' z) in-window."""
         z = _grid(z_min, dz, n)
         vals = np.imag(self._combine(*self.components_log(z, window, (z_min, dz, n))))
-        route = "combined" if window is None else "windowed"
-        return SampledSignal(z_min=z_min, dz=dz, values=vals, route=route,
-                             k_max=self.k_max, label=label)
+        return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
 
 def combine_pair(p1: SuperoscParams, p2: SuperoscParams, branch: int | None = None) -> PairSynthesizer:
@@ -456,21 +452,18 @@ def sample_component(
     logmag, unit = _component_log(p, z, (z_min, dz, n))
     if window is not None and not window.is_identity:
         logmag = logmag + window.log_profile(z)
-        route = "windowed"
-    else:
-        route = "bessel"
     if np.any(logmag > LOG_DOUBLE_MAX):
         raise OverflowRegime(
             f"magnitude reaches e^{logmag.max():.0f} on the grid; "
             "apply a window or restrict the grid"
         )
     vals = unit * np.exp(logmag)
-    return SampledSignal(z_min=z_min, dz=dz, values=vals, route=route,
+    return SampledSignal(z_min=z_min, dz=dz, values=vals,
                          k_max=p.superosc_wavenumber(+1), label=label)
 
 
 def apply_window(s: SampledSignal, w: WindowSpec) -> SampledSignal:
     """Pointwise product with the window profile; blurs the spectrum by its half-width."""
     if w.is_identity:
-        return s.with_values(s.values.copy(), route=s.route)
-    return s.with_values(s.values * w.profile(s.z), route="windowed")
+        return s.with_values(s.values.copy())
+    return s.with_values(s.values * w.profile(s.z))

@@ -98,6 +98,20 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "energy_record.json").exists()
 
 
+def test_traced_layers_all_resolve():
+    # every function perfbench/tracer.py LAYERS names must still exist, looked
+    # up as Tracer.install does it; an absent one reads as a null metric
+    root = FIXTURES.parent
+    code = ("import json, superosc.cli; from tracer import Tracer; t = Tracer(); "
+            "t.install(); print(json.dumps(t.absent))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPEROSC_OUT", str(tmp_path / "env_out"))
     assert main(["energy", "--config", str(FIXTURES / "energy.cfg"), "--quiet"]) == 0

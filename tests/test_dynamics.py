@@ -25,8 +25,7 @@ def _sine_signal(amplitude=1.0, omega=OMEGA, z_lo=-700.0, per_period=64):
     dz = 2 * math.pi / omega / per_period
     n = int((0.5 - z_lo) / dz)
     z = z_lo + dz * np.arange(n)
-    return SampledSignal(z_min=z_lo, dz=dz, values=amplitude * np.sin(omega * z),
-                         route="combined", k_max=omega)
+    return SampledSignal(z_min=z_lo, dz=dz, values=amplitude * np.sin(omega * z), k_max=omega)
 
 
 def test_zero_field_zero_probability():
@@ -281,8 +280,7 @@ def test_cubic_signal_matches_closed_form(z_min, dz, z0):
 
     coef = [1.0, 0.3, -0.02, 0.001]  # F(z) = sum_k coef[k] (z - z0)^k
     z = z_min + dz * np.arange(int((z0 + 5.0 - z_min) / dz))
-    s = SampledSignal(z_min=z_min, dz=dz, values=np.polyval(coef[::-1], z - z0),
-                      route="combined", k_max=1.0)
+    s = SampledSignal(z_min=z_min, dz=dz, values=np.polyval(coef[::-1], z - z0), k_max=1.0)
     gaps = np.array([0.5, 2.0, 13.0])  # 13 dz > 2: whole intervals by the recurrence
     times = np.array([0.1, 7.3, 33.0, 60.0])
     amps = _excitation_amplitudes(s, gaps, times, z0)
@@ -362,7 +360,7 @@ _T_CURVE = np.geomspace(5 * 2 * math.pi / OMEGA, 50.0, 16)
 
 def _with_values(s, values, z_min=None):
     return SampledSignal(z_min=s.z_min if z_min is None else z_min, dz=s.dz, values=values,
-                         route=s.route, k_max=s.k_max, label=s.label)
+                         k_max=s.k_max, label=s.label)
 
 
 @settings(max_examples=30, deadline=None)

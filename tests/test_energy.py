@@ -112,7 +112,7 @@ def test_i3_requires_cutoff():
 
 def _k_integral(gap, t, uv):
     """compute_I3's bare k integral: box 2 and denominator 1, so times 4 is exact."""
-    grid = ModeGrid(box_length=2.0, wavenumbers=np.array([math.pi]), uv_cutoff=uv)
+    grid = ModeGrid(box_length=2.0, n_modes=1, uv_cutoff=uv)
     return 4.0 * compute_I3(grid, gap, t, 1.0)
 
 

@@ -16,12 +16,13 @@ from superosc import (
 )
 from superosc.errors import CutoffMissing, TruncationError
 from superosc.field import CoherentAmplitudes
+from superosc.params import MAX_COUNT
 
 
 def _windowed_wave(fn, k1=0.5, kappa=0.01, n=2**13, dz=0.25):
     z = -n * dz / 2 + dz * np.arange(n)
     vals = fn(k1 * z) * np.exp(-0.5 * (kappa * z) ** 2)
-    return SampledSignal(z_min=z[0], dz=dz, values=vals, route="windowed", k_max=2.0)
+    return SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
 
 
 def _amplitudes(signal, uv_cutoff=None):
@@ -40,9 +41,26 @@ def test_mode_grid_spacing_invariant():
     assert np.allclose(np.diff(g.wavenumbers), g.dk, rtol=1e-12)
 
 
-def test_mode_grid_rejects_off_lattice():
-    with pytest.raises(ValueError):
-        ModeGrid(box_length=1000.0, wavenumbers=np.array([0.001, 0.002]))
+def test_mode_grid_refuses_counts_outside_range():
+    for n in (0, -1, MAX_COUNT + 1):
+        with pytest.raises(ValueError, match="n_modes"):
+            ModeGrid(box_length=1000.0, n_modes=n)
+    assert ModeGrid(box_length=1000.0, n_modes=1).wavenumbers.size == 1
+
+
+def test_mode_grid_refuses_non_positive_box():
+    for box in (0.0, -1000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="box_length"):
+            ModeGrid(box_length=box, n_modes=4)
+
+
+def test_mode_grid_refuses_lattice_beyond_uv_cutoff():
+    dk = 2 * math.pi / 1000.0
+    ModeGrid(box_length=1000.0, n_modes=100, uv_cutoff=100 * dk * (1 + 1e-12))
+    with pytest.raises(ValueError, match="UV cutoff"):
+        ModeGrid(box_length=1000.0, n_modes=101, uv_cutoff=100 * dk * (1 + 1e-12))
+    with pytest.raises(ValueError, match="uv_cutoff"):
+        ModeGrid(box_length=1000.0, n_modes=1, uv_cutoff=0.0)
 
 
 # -------------------------------------------------------- fourier coeffs ----
@@ -51,7 +69,7 @@ def test_mode_grid_rejects_off_lattice():
 def test_cosine_picks_a_channel():
     k1 = 0.5  # on-lattice: 0.5 = n * 2 pi / 2048 for n = 163? no: pick exact below
     s = _windowed_wave(np.cos, k1=k1)
-    grid = ModeGrid.for_signal(s, k_cut=2.0)
+    grid = ModeGrid.for_box(s.box_length, 2.0)
     # snap k1 to the lattice for an exact statement
     k_on = grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - k1))]
     s = _windowed_wave(np.cos, k1=float(k_on))
@@ -63,7 +81,7 @@ def test_cosine_picks_a_channel():
 
 def test_sine_picks_b_channel():
     s = _windowed_wave(np.sin, k1=0.5)
-    grid = ModeGrid.for_signal(s, k_cut=2.0)
+    grid = ModeGrid.for_box(s.box_length, 2.0)
     k_on = grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - 0.5))]
     s = _windowed_wave(np.sin, k1=float(k_on))
     fc = fourier_coeffs(s, grid)
@@ -96,9 +114,8 @@ def test_fourier_coeffs_refuses_nyquist_mode(n):
     box = n * dz
     top = n // 2
     z = -4.0 + dz * np.arange(n)
-    s = SampledSignal(z_min=-4.0, dz=dz, values=np.cos(2 * math.pi * top * z / box),
-                      route="windowed", k_max=1.0)
-    grid = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 1))
+    s = SampledSignal(z_min=-4.0, dz=dz, values=np.cos(2 * math.pi * top * z / box), k_max=1.0)
+    grid = ModeGrid(box_length=box, n_modes=top)
     if n % 2 == 0:
         with pytest.raises(TruncationError):
             fourier_coeffs(s, grid)
@@ -114,8 +131,8 @@ def test_fourier_coeffs_refuses_nyquist_mode(n):
 def test_vacuum_amplitudes():
     s = _windowed_wave(np.sin)
     sd = spectrum(s, band_limit=1.0)
-    sd_zero = type(sd)(k=sd.k, values=np.zeros_like(sd.values), band_limit=1.0,
-                       z_min=sd.z_min, dz=sd.dz, n_samples=sd.n_samples)
+    sd_zero = type(sd)(values=np.zeros_like(sd.values), band_limit=1.0, eps_band=sd.eps_band,
+                       z_min=sd.z_min, dz=sd.dz)
     grid = ModeGrid.for_signal(s)
     ca = amplitudes_from_spectrum(sd_zero, grid)
     assert np.all(ca.alpha == 0.0)
@@ -202,15 +219,52 @@ def test_grid_path_refuses_modes_at_nyquist(n):
     box = n * dz
     # the largest mode index below n/2 is accepted, one more is not
     top = (n - 1) // 2
-    ok = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 1))
+    ok = ModeGrid(box_length=box, n_modes=top)
     ca = CoherentAmplitudes(grid=ok, alpha=np.ones(top, dtype=complex), z_min=-4.0, dz=dz,
                             n_samples=n)
     assert np.all(np.isfinite(expectation_B(ca)))
-    grid = ModeGrid(box_length=box, wavenumbers=2 * math.pi / box * np.arange(1, top + 2))
+    grid = ModeGrid(box_length=box, n_modes=top + 1)
     ca = CoherentAmplitudes(grid=grid, alpha=np.ones(top + 1, dtype=complex), z_min=-4.0,
                             dz=dz, n_samples=n)
     with pytest.raises(TruncationError):
         expectation_B(ca)
+
+
+def test_amplitudes_refuse_box_mismatch():
+    grid = ModeGrid(box_length=16.0, n_modes=31)
+    alpha = np.ones(31, dtype=complex)
+    CoherentAmplitudes(grid=grid, alpha=alpha, z_min=-4.0, dz=0.25, n_samples=64)
+    # half the grid's box: the grid path would rebuild a different field
+    with pytest.raises(ValueError, match="box"):
+        CoherentAmplitudes(grid=grid, alpha=alpha, z_min=-4.0, dz=0.25, n_samples=32)
+    with pytest.raises(ValueError, match="box"):
+        CoherentAmplitudes(grid=grid, alpha=alpha, z_min=-4.0, dz=0.5, n_samples=64)
+
+
+def test_amplitudes_refuse_size_mismatch():
+    grid = ModeGrid(box_length=16.0, n_modes=31)
+    for alpha in (np.ones(30, dtype=complex), np.ones(32, dtype=complex),
+                  np.ones((31, 1), dtype=complex)):
+        with pytest.raises(ValueError, match="alpha"):
+            CoherentAmplitudes(grid=grid, alpha=alpha, z_min=-4.0, dz=0.25, n_samples=64)
+
+
+@pytest.mark.parametrize("n", [512, 513])
+@pytest.mark.parametrize("origin", [-256.0, -255.63])
+def test_lattice_slices_round_trip(n, origin):
+    # a wave packet with no weight at k = 0 or near Nyquist: the spectral
+    # slice must be the mode lattice, and the grid path must rebuild it
+    dz = 0.05
+    z_min = origin * dz
+    z = z_min + dz * np.arange(n)
+    vals = np.sin(10.0 * z + 0.3) * np.exp(-0.5 * (0.8 * z) ** 2)
+    s = SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=15.0)
+    sd = spectrum(s, band_limit=10.0)
+    grid = ModeGrid.for_signal(s)
+    first = n // 2 + 1
+    assert np.allclose(sd.k[first:first + grid.n_modes], grid.wavenumbers, rtol=1e-12, atol=0.0)
+    ca = amplitudes_from_spectrum(sd, grid)
+    assert np.abs(expectation_B(ca) - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
 # ------------------------------------------------------------- two-point ----
@@ -237,7 +291,7 @@ def test_two_point_classical_regime():
     n, dz = 2**15, 10000.0 / 2**15
     z = -n * dz / 2 + dz * np.arange(n)
     vals = np.sin(0.5 * z) * np.exp(-0.5 * (0.005 * z) ** 2)
-    s = SampledSignal(z_min=z[0], dz=dz, values=vals, route="windowed", k_max=2.0)
+    s = SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
     ca = _amplitudes(s, uv_cutoff=50.0)
     res = two_point_function(ca, z0=math.pi, t1=0.0, t2=5.0)
     assert abs(res.product) > 0.1
@@ -286,7 +340,7 @@ def test_single_mode_occupation_consistency():
     z = -n * dz / 2 + dz * np.arange(n)
     k1_target = 0.5
     s0 = SampledSignal(z_min=z[0], dz=dz, values=np.exp(1j * k1_target * z)
-                       * np.exp(-0.5 * (kappa * z) ** 2), route="windowed", k_max=2.0)
+                       * np.exp(-0.5 * (kappa * z) ** 2), k_max=2.0)
     grid = ModeGrid.for_signal(s0)
     k_on = float(grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - k1_target))])
     s = s0.with_values(np.exp(1j * k_on * z) * np.exp(-0.5 * (kappa * z) ** 2))

@@ -16,8 +16,7 @@ from superosc.errors import EdgeError, NodeError
 
 def _ramp_signal(k=1.7, n=2048, dz=0.25):
     z = -100.0 + dz * np.arange(n)
-    return SampledSignal(z_min=-100.0, dz=dz, values=np.exp(1j * k * z),
-                         route="combined", k_max=max(k, 2.0))
+    return SampledSignal(z_min=-100.0, dz=dz, values=np.exp(1j * k * z), k_max=max(k, 2.0))
 
 
 def test_pure_phase_ramp_exact():
@@ -29,8 +28,7 @@ def test_pure_phase_ramp_exact():
 def test_pure_sine_crossing_estimator():
     dz = 0.19
     z = -60.0 + dz * np.arange(1024)
-    s = SampledSignal(z_min=-60.0, dz=dz, values=np.sin(1.3 * z),
-                      route="combined", k_max=2.0)
+    s = SampledSignal(z_min=-60.0, dz=dz, values=np.sin(1.3 * z), k_max=2.0)
     assert instantaneous_frequency(s, 0.0) == pytest.approx(1.3, rel=1e-3)
 
 
@@ -120,7 +118,7 @@ def test_real_dead_zone_raises_node_error():
     dz = 0.2
     z = -100.0 + dz * np.arange(1024)
     vals = np.where(z < -30.0, np.sin(1.5 * z), 1e-30)
-    s = SampledSignal(z_min=-100.0, dz=dz, values=vals, route="combined", k_max=2.0)
+    s = SampledSignal(z_min=-100.0, dz=dz, values=vals, k_max=2.0)
     with pytest.raises(NodeError):
         instantaneous_frequency(s, -5.0)
 

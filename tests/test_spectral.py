@@ -12,7 +12,7 @@ from superosc.spectral import box_fft, box_irfft
 def _gaussian_cos(k1=0.5, kappa=0.01, n=2**13, dz=0.25):
     z = -n * dz / 2 + dz * np.arange(n)
     vals = np.cos(k1 * z) * np.exp(-0.5 * (kappa * z) ** 2)
-    return SampledSignal(z_min=z[0], dz=dz, values=vals, route="windowed", k_max=2.0)
+    return SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
 
 
 def test_cosine_spectrum_peaks_symmetric():
@@ -40,8 +40,7 @@ def test_parseval_identity_huge_dynamic_range(cert_signal, cert_spectrum):
 def test_truncation_error_for_undecayed_boundary():
     n, dz = 2048, 0.25
     z = dz * np.arange(n)
-    s = SampledSignal(z_min=0.0, dz=dz, values=np.cos(z) + 2.0,
-                      route="windowed", k_max=2.0)
+    s = SampledSignal(z_min=0.0, dz=dz, values=np.cos(z) + 2.0, k_max=2.0)
     with pytest.raises(TruncationError):
         spectrum(s, band_limit=1.0)
 
@@ -66,7 +65,7 @@ def test_window_blur_leakage_small():
     n, dz, kappa = 2**14, 0.25, 0.005
     z = -n * dz / 2 + dz * np.arange(n)
     vals = np.exp(0.5j * z) * np.exp(-0.5 * (kappa * z) ** 2)
-    s = SampledSignal(z_min=z[0], dz=dz, values=vals, route="windowed", k_max=2.0)
+    s = SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
     sd = spectrum(s, band_limit=1.0)
     assert sd.leakage(kappa) <= 1e-4
 
@@ -116,7 +115,7 @@ def _bump(n, r, kind, dz=_DZ):
     z = (r + np.arange(n)) * dz
     carrier = np.exp(0.8j * z) if kind == "complex" else np.cos(0.8 * z)
     return SampledSignal(z_min=r * dz, dz=dz, values=carrier * np.exp(-0.5 * (p / 5.0) ** 2),
-                         route="windowed", k_max=2.0)
+                         k_max=2.0)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -290,7 +290,6 @@ def test_apply_window_far_tail_decays(mild_signal):
 
 def test_windowed_pair_all_finite(cert_signal):
     assert np.all(np.isfinite(cert_signal.values))
-    assert cert_signal.route == "windowed"
 
 
 # ------------------------------------------------------------ real form ----
@@ -322,12 +321,11 @@ def test_real_signal_crossing_spacing(dyn_signal, dyn_pair):
 
 def test_signal_grid_validation():
     with pytest.raises(ValueError, match="underresolved"):
-        SampledSignal(z_min=0.0, dz=1.0, values=np.ones(16), route="bessel", k_max=2.0)
+        SampledSignal(z_min=0.0, dz=1.0, values=np.ones(16), k_max=2.0)
     with pytest.raises(ValueError, match="finite"):
-        SampledSignal(z_min=0.0, dz=0.1, values=np.array([1.0, np.inf]),
-                      route="bessel", k_max=1.0)
+        SampledSignal(z_min=0.0, dz=0.1, values=np.array([1.0, np.inf]), k_max=1.0)
     with pytest.raises(ValueError):
-        SampledSignal(z_min=0.0, dz=0.1, values=np.ones(1), route="bessel", k_max=1.0)
+        SampledSignal(z_min=0.0, dz=0.1, values=np.ones(1), k_max=1.0)
 
 
 def test_route_agreement_fuzz_seeded():
