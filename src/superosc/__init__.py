@@ -49,7 +49,6 @@ from .signal import SampledSignal
 from .spectral import SpectralDensity, parseval_residual, spectrum
 from .synthesis import (
     PairSynthesizer,
-    apply_window,
     combine_pair,
     component_log,
     growth_region,

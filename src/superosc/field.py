@@ -78,10 +78,11 @@ class ModeGrid:
     def for_signal(cls, s: SampledSignal, uv_cutoff: float | None = None) -> "ModeGrid":
         """Mode lattice of the signal's box: the full half-lattice below Nyquist.
 
-        The full lattice makes the signal -> amplitudes -> expectation round
-        trip exact to rounding.
+        That is bins 1 .. (n - 1) // 2; an even n's bin n / 2 is Nyquist
+        itself.  The full lattice makes the signal -> amplitudes ->
+        expectation round trip exact to rounding.
         """
-        return cls(box_length=s.box_length, n_modes=s.n // 2 - 1, uv_cutoff=uv_cutoff)
+        return cls(box_length=s.box_length, n_modes=(s.n - 1) // 2, uv_cutoff=uv_cutoff)
 
 
 def _mode_sum(k: np.ndarray, a: np.ndarray, b: np.ndarray, z, t: float) -> np.ndarray:

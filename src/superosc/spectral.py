@@ -17,8 +17,9 @@ conjugate mirror of the positive one, so its spectrum is exactly Hermitian.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +44,24 @@ class SpectralDensity:
     eps_band: float
     z_min: float
     dz: float
-    k: np.ndarray = field(init=False, repr=False)
-    dk: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        k = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.dz))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "dk", float(k[1] - k[0]))
 
     @property
     def n_samples(self) -> int:
         return self.values.size
+
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.dz))
+
+    def k_at(self, j: int) -> float:
+        """k[n // 2 + j] without building ``k``: fftfreq's own arithmetic, bit for bit."""
+        return 2.0 * np.pi * (j * (1.0 / (self.n_samples * self.dz)))
+
+    @property
+    def dk(self) -> float:
+        """k[1] - k[0]."""
+        half = self.n_samples // 2
+        return self.k_at(1 - half) - self.k_at(-half)
 
     def band_energy_fraction(self, k_lo: float, k_hi: float) -> float:
         """Fraction of spectral energy inside [k_lo, k_hi] (overflow-safe)."""
@@ -134,7 +142,7 @@ def spectrum(s: SampledSignal, band_limit: float,
         transform = np.fft.fftshift(transform)
     sd = SpectralDensity(values=transform, band_limit=band_limit, eps_band=eps_band,
                          z_min=s.z_min, dz=s.dz)
-    if sd.k[0] > -band_limit or sd.k[-1] < 2.0 * band_limit:
+    if sd.k_at(-(n // 2)) > -band_limit or sd.k_at((n - 1) // 2) < 2.0 * band_limit:
         raise TruncationError("k grid does not cover [-k0, 2 k0]; refine dz")
     return sd
 

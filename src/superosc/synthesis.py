@@ -18,27 +18,46 @@ clean oscillation faster than the band limit.  All sampling is done in
 log-magnitude space so that the exponential growth outside the window (up to
 e^700 in admissible regimes) never overflows intermediates.  Each point
 evaluates only the Bessel branch of its own region (j0 where the radicand is
->= 0, the scaled i0e inside the growth region), and a pair computes the
-carrier exp(i z k0/2) once for both components.
+>= 0, the scaled i0e inside the growth region).
+
+Real combine: both components share the carrier exp(i z k0/2) = cos + i sin,
+so with Bessel-and-amplitude signs s1, s2 in {-1, 0, 1} the pair
+F1 + branch * i * F2 is ((cos A - sin B) + i (sin A + cos B)) e^peak, where
+peak = max(l1, l2), A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
+This is the complex formula u1 e^(l1 - peak) + u2 e^(l2 - peak) rearranged:
+multiplying by s1, s2 or branch only flips a sign, and each cross term of
+the complex products was a product with an exact zero, so every nonzero
+part rounds identically.  ``sample_real`` computes only the imaginary part.
+``sample`` finishes with numpy's complex-by-real product, as the complex
+formula did, and ``sample_real`` gives an exact zero the sign that product
+gives it (-0 only where both parts of the sum are negative), so signed zeros
+in underflowed tails match too.  The uncached ``PairSynthesizer.__call__``
+runs the same combine on ``_bessel_kernel`` arrays.
 
 Caching: the waveform is linear in its amplitude, and the amplitude enters
-the log-magnitude only as the additive constant log|amplitude| and the sign
-only as its sign.  So on a regular grid z_min + dz * arange(n) the costly
-parts are the same for every amplitude, and two bounded LRU caches hold
-them as read-only arrays:
+the log-magnitude only as the additive constant log_pref and the sign only
+as its sign.  So on a regular grid z_min + dz * arange(n) the costly parts
+are the same for every amplitude, and three bounded LRU caches hold them as
+read-only, full-length arrays (memory per entry at n = 2^16):
 
 * ``_bessel_branches``, keyed by (inv_sq_delta, boost, band_limit, z_min,
-  dz, n), maxsize 8: the oscillatory-region mask, log|j0| and its sign on the
-  oscillatory points, and xi and log i0e(xi) on the growth points.  It wraps
-  ``_bessel_kernel``, the same kernel ``component_log`` runs uncached on
+  dz, n), maxsize 8, 1.06 MiB: ``base`` (log|j0| on oscillatory points, xi
+  on growth points), ``extra`` (0 on oscillatory points, log i0e(xi) on
+  growth points) and the int8 ``sign`` of the Bessel factor.  Then
+  logmag = (log_pref + base) + extra, the order of additions of the
+  uncached route, with no boolean scatter per call.  It wraps
+  ``_bessel_kernel``, the kernel ``component_log`` runs uncached on
   arbitrary points;
-* ``_grid_carrier``, keyed by (band_limit, z_min, dz, n), maxsize 4: the
-  carrier.
+* ``_grid_carrier``, keyed by (band_limit, z_min, dz, n), maxsize 4,
+  1 MiB: cos and sin of z k0/2 as contiguous arrays, copied from the same
+  np.exp(0.5j z k0) as the uncached route (np.cos and np.sin need not round
+  the same way);
+* ``_grid_log_window``, keyed by (half_width, z_min, dz, n), maxsize 4,
+  0.5 MiB: the window's log-profile, which does not depend on the amplitude.
 
 ``PairSynthesizer.sample``, ``sample_real`` and ``sample_component`` go
-through the caches.  Each call still adds log_pref to log|j0| and to xi,
-then adds log i0e, builds the signs and combines, in the same order as the
-uncached route, so the samples are bit-for-bit those of the uncached route.
+through the caches, so their samples are bit-for-bit those of the uncached
+route.
 
 Contour shift: the circle integrand's modulus varies as
 exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
@@ -106,13 +125,14 @@ def growth_region(p: SuperoscParams) -> tuple[float, float]:
 
 
 class _Branches(NamedTuple):
-    """The amplitude-independent Bessel factor of one component on a set of points."""
+    """The amplitude-independent Bessel factor of one component, point by point.
 
-    oscillatory: np.ndarray  # radicand >= 0
-    log_abs_j0: np.ndarray   # log|j0| on the oscillatory points (-inf at a zero)
-    sign_j0: np.ndarray      # sign of j0 there, as int8
-    xi: np.ndarray           # i0e argument on the growth points, where radicand < 0
-    log_i0e: np.ndarray      # log i0e(xi) there
+    log|factor| = base + extra, added in that order; its sign is ``sign``.
+    """
+
+    base: np.ndarray   # log|j0| where the radicand is >= 0 (-inf at a zero), xi where it is < 0
+    extra: np.ndarray  # 0 where the radicand is >= 0, log i0e(xi) where it is < 0
+    sign: np.ndarray   # sign of j0 where the radicand is >= 0, +1 where it is < 0; int8
 
 
 def _bessel_kernel(inv_sq_delta: float, boost: float, band_limit: float, z) -> _Branches:
@@ -125,16 +145,27 @@ def _bessel_kernel(inv_sq_delta: float, boost: float, band_limit: float, z) -> _
     if not np.isfinite(rad).all():
         raise DomainError("the Bessel radicand is not finite on these points")
     oscillatory = rad >= 0.0
+    growth = ~oscillatory
+    base = np.empty(rad.shape)
+    extra = np.zeros(rad.shape)
+    sign = np.ones(rad.shape, dtype=np.int8)
     jval = j0(inv_sq_delta * np.sqrt(rad[oscillatory]))
     with np.errstate(divide="ignore"):
-        log_abs_j0 = np.log(np.abs(jval))
-    xi = inv_sq_delta * np.sqrt(-rad[~oscillatory])
-    return _Branches(oscillatory, log_abs_j0, np.sign(jval).astype(np.int8),
-                     xi, np.log(i0e(xi)))
+        base[oscillatory] = np.log(np.abs(jval))
+    sign[oscillatory] = np.sign(jval)
+    xi = inv_sq_delta * np.sqrt(-rad[growth])
+    base[growth] = xi
+    extra[growth] = np.log(i0e(xi))
+    return _Branches(base, extra, sign)
 
 
 def _grid(z_min: float, dz: float, n: int) -> np.ndarray:
     return z_min + dz * np.arange(n)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,54 +173,67 @@ def _bessel_branches(inv_sq_delta: float, boost: float, band_limit: float,
                      z_min: float, dz: float, n: int) -> _Branches:
     """``_bessel_kernel`` on the grid z_min + dz * arange(n), cached read-only."""
     branches = _bessel_kernel(inv_sq_delta, boost, band_limit, _grid(z_min, dz, n))
-    for arr in branches:
-        arr.flags.writeable = False
+    _read_only(*branches)
     return branches
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_carrier(band_limit: float, z_min: float, dz: float, n: int) -> np.ndarray:
-    """exp(i z k0/2) on the grid z_min + dz * arange(n), cached read-only."""
+def _grid_carrier(band_limit: float, z_min: float, dz: float, n: int):
+    """(cos, sin) of z k0/2 on the grid z_min + dz * arange(n), cached read-only.
+
+    The parts of exp(i z k0/2), copied out contiguous; np.cos and np.sin need
+    not round the same way.
+    """
     carrier = np.exp(0.5j * _grid(z_min, dz, n) * band_limit)
-    carrier.flags.writeable = False
-    return carrier
+    parts = (carrier.real.copy(), carrier.imag.copy())
+    _read_only(*parts)
+    return parts
 
 
-def _carrier(band_limit: float, z, grid: tuple | None = None) -> np.ndarray:
-    """exp(i z k0/2); ``grid`` as in ``_logmag_sign``."""
+@functools.lru_cache(maxsize=4)
+def _grid_log_window(half_width: float, z_min: float, dz: float, n: int) -> np.ndarray:
+    """The window's log h(z) on the grid z_min + dz * arange(n), cached read-only."""
+    logh = WindowSpec(half_width=half_width).log_profile(_grid(z_min, dz, n))
+    _read_only(logh)
+    return logh
+
+
+def _branches(p: SuperoscParams, z, grid: tuple | None) -> _Branches:
+    """One component's Bessel branches on z.
+
+    ``grid`` is (z_min, dz, n) when z is that grid (z may then be None); its
+    branches then come from the cache.
+    """
     if grid is None:
-        return np.exp(0.5j * z * band_limit)
+        return _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
+    return _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
+
+
+def _carrier(band_limit: float, z, grid: tuple | None):
+    """(cos, sin) of z k0/2; ``grid`` as in ``_branches``."""
+    if grid is None:
+        carrier = np.exp(0.5j * z * band_limit)
+        return carrier.real, carrier.imag
     return _grid_carrier(band_limit, *grid)
 
 
-def _logmag_sign(p: SuperoscParams, z, grid: tuple | None = None):
-    """One component without its carrier: value = sign * exp(logmag) * exp(i z k0/2).
-
-    ``sign`` is the sign of the Bessel factor times the sign of the amplitude
-    (0 at an exact Bessel zero, where logmag is -inf).  ``grid`` is
-    (z_min, dz, n) when z is that grid; its Bessel branches then come from
-    the cache.  p.amplitude must be nonzero.
-    """
-    if grid is None:
-        b = _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
-    else:
-        b = _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
-    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
-    logmag = np.empty(z.shape)
-    sign = np.ones(z.shape)
-    logmag[b.oscillatory] = log_pref + b.log_abs_j0
-    sign[b.oscillatory] = b.sign_j0
-    logmag[~b.oscillatory] = log_pref + b.xi + b.log_i0e
-    if p.amplitude < 0.0:
-        sign = -sign
-    return logmag, sign
+def _logmag(p: SuperoscParams, b: _Branches) -> np.ndarray:
+    """log|component| as a new array: (log_pref + base) + extra.  p.amplitude must be nonzero."""
+    logmag = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta)) + b.base
+    logmag += b.extra
+    return logmag
 
 
 def _component_log(p: SuperoscParams, z, grid: tuple | None = None):
     if p.amplitude == 0.0:
         return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    logmag, sign = _logmag_sign(p, z, grid)
-    return logmag, sign * _carrier(p.band_limit, z, grid)
+    b = _branches(p, z, grid)
+    sign = b.sign.astype(float)
+    if p.amplitude < 0.0:
+        sign = -sign
+    carrier = np.empty(sign.shape, dtype=complex)
+    carrier.real, carrier.imag = _carrier(p.band_limit, z, grid)
+    return _logmag(p, b), sign * carrier
 
 
 def component_log(p: SuperoscParams, z):
@@ -332,40 +376,72 @@ class PairSynthesizer:
     def extent(self) -> float:
         return self.p1.extent
 
-    def components_log(self, z, window: WindowSpec | None = None, grid: tuple | None = None):
-        """(l1, u1, l2, u2) of the two components; ``grid`` as in ``_logmag_sign``."""
-        z = np.asarray(z, dtype=float)
-        if self.p1.amplitude == 0.0:
-            # exact +0 units: a zero sign times the carrier leaves -0.0 parts
-            l1, u1 = _component_log(self.p1, z)
-            l2, u2 = _component_log(self.p2, z)
-        else:
-            # combine_pair guarantees a shared band limit, hence one carrier.
-            l1, s1 = _logmag_sign(self.p1, z, grid)
-            l2, s2 = _logmag_sign(self.p2, z, grid)
-            carrier = _carrier(self.p1.band_limit, z, grid)
-            u1 = s1 * carrier
-            u2 = s2 * carrier
-        u2 = u2 * (1j * self.branch)
-        if window is not None and not window.is_identity:
-            logh = window.log_profile(z)
-            l1 = l1 + logh
-            l2 = l2 + logh
-        return l1, u1, l2, u2
+    def _combine(self, z, window: WindowSpec | None = None, grid: tuple | None = None,
+                 imag_only: bool = False) -> np.ndarray:
+        """F1 + branch * i * F2 on z, or only its imaginary part; ``grid`` as in ``_branches``.
 
-    def _combine(self, l1, u1, l2, u2):
+        With signs s1, s2 in {-1, 0, 1}, F1 = s1 e^l1 (cos + i sin) and
+        F2 = s2 e^l2 (cos + i sin).  Scaled by the larger log-magnitude, the
+        pair is ((cos A - sin B) + i (sin A + cos B)) e^peak with
+        A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
+        """
+        shape = z.shape if grid is None else (grid[2],)
+        if self.p1.amplitude == 0.0:
+            # combine_pair guarantees a shared amplitude magnitude: exact +0 samples
+            return np.zeros(shape, dtype=float if imag_only else complex)
+        b1 = _branches(self.p1, z, grid)
+        b2 = _branches(self.p2, z, grid)
+        l1 = _logmag(self.p1, b1)
+        l2 = _logmag(self.p2, b2)
+        if window is not None and not window.is_identity:
+            logh = (window.log_profile(z) if grid is None
+                    else _grid_log_window(window.half_width, *grid))
+            l1 += logh
+            l2 += logh
         peak = np.maximum(l1, l2)
-        if np.any(peak > LOG_DOUBLE_MAX):
+        top = peak.max()
+        if top > LOG_DOUBLE_MAX:
             raise OverflowRegime(
-                f"combined magnitude reaches e^{peak.max():.0f}; apply a window or "
+                f"combined magnitude reaches e^{top:.0f}; apply a window or "
                 "restrict the grid to the representable range"
             )
-        peak = np.where(np.isneginf(peak), 0.0, peak)
-        return (u1 * np.exp(l1 - peak) + u2 * np.exp(l2 - peak)) * np.exp(peak)
+        peak[np.isneginf(peak)] = 0.0
+        a = np.exp(np.subtract(l1, peak, out=l1), out=l1)
+        a *= b1.sign
+        if self.p1.amplitude < 0.0:
+            np.negative(a, out=a)
+        b = np.exp(np.subtract(l2, peak, out=l2), out=l2)
+        b *= b2.sign
+        if (self.p2.amplitude < 0.0) != (self.branch < 0):
+            np.negative(b, out=b)
+        scale = np.exp(peak, out=peak)
+        # combine_pair guarantees a shared band limit, hence one carrier.
+        cos, sin = _carrier(self.p1.band_limit, z, grid)
+        imag = sin * a
+        imag += cos * b
+        if not imag_only:
+            out = np.empty(shape, dtype=complex)
+            out.imag = imag
+            re = out.real
+            np.multiply(cos, a, out=re)
+            re -= sin * b
+            # numpy's complex-by-real product, as in the complex route, so
+            # that underflowed samples keep their signed zeros
+            out *= scale
+            return out
+        imag *= scale
+        # The complex product takes Re(sum)*0 + Im(sum)*e^peak as its
+        # imaginary part: an exact zero there is -0 only where both parts
+        # of the sum are negative.
+        zero = np.flatnonzero(imag == 0.0)
+        if zero.size:
+            real = cos[zero] * a[zero] - sin[zero] * b[zero]
+            imag[zero] = np.where(np.signbit(real) & np.signbit(imag[zero]), -0.0, 0.0)
+        return imag
 
     def __call__(self, z, window: WindowSpec | None = None):
         scalar = np.isscalar(z)
-        vals = self._combine(*self.components_log(np.atleast_1d(z), window))
+        vals = self._combine(np.atleast_1d(np.asarray(z, dtype=float)), window)
         return complex(vals[0]) if scalar else vals
 
     def sample(
@@ -376,8 +452,7 @@ class PairSynthesizer:
         window: WindowSpec | None = None,
         label: str = "",
     ) -> SampledSignal:
-        z = _grid(z_min, dz, n)
-        vals = self._combine(*self.components_log(z, window, (z_min, dz, n)))
+        vals = self._combine(None, window, (z_min, dz, n))
         return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
     def sample_real(
@@ -389,8 +464,7 @@ class PairSynthesizer:
         label: str = "",
     ) -> SampledSignal:
         """Imaginary part of the combination: ~ amplitude*sin(k' z) in-window."""
-        z = _grid(z_min, dz, n)
-        vals = np.imag(self._combine(*self.components_log(z, window, (z_min, dz, n))))
+        vals = self._combine(None, window, (z_min, dz, n), imag_only=True)
         return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
 
@@ -448,10 +522,10 @@ def sample_component(
     label: str = "",
 ) -> SampledSignal:
     """Sample one component (closed-form route), optionally windowed in log space."""
-    z = _grid(z_min, dz, n)
-    logmag, unit = _component_log(p, z, (z_min, dz, n))
+    grid = (z_min, dz, n)
+    logmag, unit = _component_log(p, _grid(*grid), grid)
     if window is not None and not window.is_identity:
-        logmag = logmag + window.log_profile(z)
+        logmag = logmag + _grid_log_window(window.half_width, *grid)
     if np.any(logmag > LOG_DOUBLE_MAX):
         raise OverflowRegime(
             f"magnitude reaches e^{logmag.max():.0f} on the grid; "
@@ -461,9 +535,3 @@ def sample_component(
     return SampledSignal(z_min=z_min, dz=dz, values=vals,
                          k_max=p.superosc_wavenumber(+1), label=label)
 
-
-def apply_window(s: SampledSignal, w: WindowSpec) -> SampledSignal:
-    """Pointwise product with the window profile; blurs the spectrum by its half-width."""
-    if w.is_identity:
-        return s.with_values(s.values.copy())
-    return s.with_values(s.values * w.profile(s.z))

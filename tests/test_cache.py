@@ -16,7 +16,7 @@ from superosc.synthesis import component_log, growth_region
 from conftest import MILD, MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
 
 AMPLITUDES = (1e-4, 3e-3, -1.0, 0.0)
-SYNTH_CACHES = (synthesis._bessel_branches, synthesis._grid_carrier)
+SYNTH_CACHES = (synthesis._bessel_branches, synthesis._grid_carrier, synthesis._grid_log_window)
 
 
 def _clear():
@@ -74,15 +74,21 @@ def test_cached_arrays_are_read_only():
     _clear()
     pair = mild_pair_of(1.0)
     z_min, dz, n = _pair_grid(pair)
-    pair.sample(z_min, dz, n)
+    pair.sample(z_min, dz, n, window=MILD_PAIR_WINDOW)
     for p in (pair.p1, pair.p2):
         branches = synthesis._bessel_branches(p.inv_sq_delta, p.boost, p.band_limit,
                                               z_min, dz, n)
-        assert branches.oscillatory.any() and not branches.oscillatory.all()
+        # the grid holds oscillatory points (extra = 0) and growth points (log i0e < 0)
+        assert (branches.extra == 0.0).any() and (branches.extra < 0.0).any()
         for arr in branches:
-            assert arr.flags.writeable is False
-    assert synthesis._grid_carrier(pair.p1.band_limit, z_min, dz, n).flags.writeable is False
+            assert arr.shape == (n,) and arr.flags.writeable is False
+    for arr in synthesis._grid_carrier(pair.p1.band_limit, z_min, dz, n):
+        assert arr.flags.c_contiguous and arr.flags.writeable is False
+    logh = synthesis._grid_log_window(MILD_PAIR_WINDOW.half_width, z_min, dz, n)
+    assert logh.flags.writeable is False
     assert synthesis._bessel_branches.cache_info().hits == 2
+    assert synthesis._grid_carrier.cache_info().hits == 1
+    assert synthesis._grid_log_window.cache_info().hits == 1
 
 
 def test_boost_ladder_on_one_grid_stays_exact_and_bounded():

@@ -267,6 +267,23 @@ def test_lattice_slices_round_trip(n, origin):
     assert np.abs(expectation_B(ca) - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
+def test_odd_grid_keeps_the_mode_below_nyquist():
+    # at n = 513 bin 256 lies below Nyquist: a packet centred there must
+    # round-trip through the mode lattice
+    n, dz = 513, 0.05
+    z_min = -256.0 * dz
+    z = z_min + dz * np.arange(n)
+    k_top = 256 * 2.0 * math.pi / (n * dz)
+    vals = np.cos(k_top * z + 0.3) * np.exp(-0.5 * (0.8 * z) ** 2)
+    # k_max only sizes the grid check; the packet sits far above it
+    s = SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=15.0)
+    grid = ModeGrid.for_signal(s)
+    assert grid.n_modes == 256
+    ca = amplitudes_from_spectrum(spectrum(s, band_limit=10.0), grid)
+    assert np.abs(ca.alpha[-1]) > 0.1 * np.abs(ca.alpha).max()
+    assert np.abs(expectation_B(ca) - vals).max() <= 1e-12 * np.abs(vals).max()
+
+
 # ------------------------------------------------------------- two-point ----
 
 

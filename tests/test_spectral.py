@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superosc import SampledSignal, WindowSpec, parseval_residual, spectrum
+from superosc import (ModeGrid, SampledSignal, SpectralDensity, WindowSpec,
+                      amplitudes_from_spectrum, parseval_residual, spectrum)
 from superosc.errors import TruncationError
 from superosc.spectral import box_fft, box_irfft
 
@@ -49,6 +50,24 @@ def test_k_grid_covers_band(cert_spectrum):
     assert cert_spectrum.k[0] <= -1.0
     assert cert_spectrum.k[-1] >= 2.0
     assert cert_spectrum.dk == pytest.approx(2 * np.pi / 8192.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [512, 513, 2**15])
+@pytest.mark.parametrize("dz", [0.25, 0.30517578125, 0.152587890625, 0.1953125])
+def test_k_scalars_equal_the_k_array(n, dz):
+    sd = SpectralDensity(values=np.zeros(n, dtype=complex), band_limit=1.0, eps_band=1e-4,
+                         z_min=0.0, dz=dz)
+    half = n // 2
+    assert sd.dk == float(sd.k[1] - sd.k[0])
+    assert sd.k_at(-half) == sd.k[0] and sd.k_at((n - 1) // 2) == sd.k[-1]
+    assert np.array_equal(sd.k_at(np.arange(-half, n - half)), sd.k)
+
+
+def test_dyn_spectrum_builds_no_k_array(dyn_signal):
+    sd = spectrum(dyn_signal, band_limit=1.0)
+    amplitudes_from_spectrum(sd, ModeGrid.for_signal(dyn_signal))
+    parseval_residual(dyn_signal, sd)
+    assert "k" not in vars(sd)
 
 
 def test_certificate_band_confinement(cert_spectrum):

@@ -7,7 +7,6 @@ from superosc import (
     SampledSignal,
     SuperoscParams,
     WindowSpec,
-    apply_window,
     combine_pair,
     make_real_superosc,
     sample_component,
@@ -23,8 +22,12 @@ from superosc.errors import (
 )
 from superosc.frequency import zero_crossings
 from superosc.params import QUARTER
+from superosc.synthesis import LOG_DOUBLE_MAX
 
-from conftest import MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
+from superosc.cli import _grid_from, _pair_from, _window_from
+
+from conftest import (MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of,
+                      regime)
 
 # Frozen closed-form oracle values (mpmath, 30 digits):
 #   J0(4)                                  = -0.397149809863847372...
@@ -273,10 +276,10 @@ def test_pair_sample_overflow_without_window():
 
 
 def test_apply_window_identity():
+    # the identity window's profile is exactly 1: the pointwise product is the signal
     p = _p(0.3, 1.0, extent=0.7)
     s = sample_component(p, -100.0, 0.25, 1024)
-    out = apply_window(s, WindowSpec(half_width=0.0))
-    assert np.array_equal(out.values, s.values)
+    assert np.array_equal(s.values * WindowSpec(half_width=0.0).profile(s.z), s.values)
 
 
 def test_apply_window_far_tail_decays(mild_signal):
@@ -378,6 +381,18 @@ def _all_points_component_log(p, z):
     return logmag, sign * np.exp(0.5j * z * p.band_limit)
 
 
+def _complex_combine(l1, u1, l2, u2):
+    """Reference: u1 e^l1 + u2 e^l2 in complex arithmetic, scaled by the larger log-magnitude."""
+    peak = np.maximum(l1, l2)
+    if np.any(peak > LOG_DOUBLE_MAX):
+        raise OverflowRegime(
+            f"combined magnitude reaches e^{peak.max():.0f}; apply a window or "
+            "restrict the grid to the representable range"
+        )
+    peak = np.where(np.isneginf(peak), 0.0, peak)
+    return (u1 * np.exp(l1 - peak) + u2 * np.exp(l2 - peak)) * np.exp(peak)
+
+
 def _all_points_pair(pair, z, window=None):
     l1, u1 = _all_points_component_log(pair.p1, z)
     l2, u2 = _all_points_component_log(pair.p2, z)
@@ -385,7 +400,7 @@ def _all_points_pair(pair, z, window=None):
     if window is not None:
         logh = window.log_profile(z)
         l1, l2 = l1 + logh, l2 + logh
-    return pair._combine(l1, u1, l2, u2)
+    return _complex_combine(l1, u1, l2, u2)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
@@ -429,3 +444,49 @@ def test_masked_bessel_scalar_and_0d_input():
         logmag, unit = component_log(p, np.asarray(z))
         assert logmag.shape == () and unit.shape == ()
         assert np.array_equal(logmag, ref_logmag) and np.array_equal(unit, ref_unit)
+
+
+# ------------------------------------------------------ pipeline grids ----
+
+
+def _bits(values):
+    """int64 view of the samples, so that signed zeros count."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("fixture,refine", [("spectrum_cert.cfg", 1), ("energy.cfg", 1),
+                                            ("energy.cfg", 2)],
+                         ids=["cert", "dyn-2^15", "dyn-2^16"])
+def test_pipeline_grid_samples_match_complex_combine_bitwise(fixture, refine):
+    # pipeline_warm's grids: the certificate grid, and the dyn box at 2^15 and 2^16 samples
+    conf = regime(fixture)
+    window = _window_from(conf)
+    z_min, dz, n = _grid_from(conf)
+    dz, n = dz / refine, n * refine
+    z = z_min + dz * np.arange(n)
+    for amplitude in (1e-4, -3e-3, 1e-2, 0.0):
+        pair = _pair_from(regime(fixture, amplitude=amplitude))
+        ref = _all_points_pair(pair, z, window)
+        assert np.array_equal(_bits(pair.sample(z_min, dz, n, window=window).values),
+                              _bits(ref))
+        assert np.array_equal(_bits(pair.sample_real(z_min, dz, n, window=window).values),
+                              _bits(np.imag(ref)))
+
+
+@pytest.mark.parametrize("branch", [+1, -1])
+@pytest.mark.parametrize("amplitude", [1.0, -1e-3])
+def test_underflowed_samples_keep_complex_signed_zeros(amplitude, branch):
+    # a window this narrow takes the samples through the subnormal range to
+    # exact zeros of both signs; the real combine must sign them as the
+    # complex product does
+    p1, p2 = SuperoscParams.locked_pair(3, amplitude=amplitude, boost=1.0, extent=1.2)
+    pair = combine_pair(p1, p2, branch=branch)
+    window = WindowSpec(half_width=0.05)
+    z_min, dz, n = -1200.0, 0.125, 19200
+    z = z_min + dz * np.arange(n)
+    ref = _all_points_pair(pair, z, window)
+    zero = ref.imag == 0.0
+    assert np.signbit(ref.imag[zero]).any() and not np.signbit(ref.imag[zero]).all()
+    assert np.array_equal(_bits(pair.sample(z_min, dz, n, window=window).values), _bits(ref))
+    assert np.array_equal(_bits(pair.sample_real(z_min, dz, n, window=window).values),
+                          _bits(ref.imag))
