@@ -10,7 +10,7 @@ class OverflowRegime(SuperoscError):
 
 
 class QuadratureNoConvergence(SuperoscError):
-    """Adaptive quadrature could not reach its error target.
+    """The circle-integral route could not reach its error target.
 
     Signals a parameter regime where the oscillatory-integral route is not
     numerically honest and the closed form should be used instead.

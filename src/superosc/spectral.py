@@ -17,6 +17,7 @@ conjugate mirror of the positive one, so its spectrum is exactly Hermitian.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -64,14 +65,23 @@ class SpectralDensity:
         return self.k_at(1 - half) - self.k_at(-half)
 
     def band_energy_fraction(self, k_lo: float, k_hi: float) -> float:
-        """Fraction of spectral energy inside [k_lo, k_hi] (overflow-safe)."""
+        """Fraction of spectral energy inside [k_lo, k_hi] (overflow-safe).
+
+        The band is one contiguous run of bins, found by bisecting the
+        monotone ``k_at`` with the comparisons of the mask k >= k_lo and
+        k <= k_hi, and summed as a slice; ``k`` is not built.
+        """
         mag = np.abs(self.values)
         if mag.max() == 0.0:
             return 1.0  # vacuum spectrum is trivially confined
+        if not k_lo <= k_hi:  # also a NaN edge: the mask is empty
+            return 0.0
         scaled = mag / mag.max()
         energy = scaled**2
-        inside = (self.k >= k_lo) & (self.k <= k_hi)
-        return float(energy[inside].sum() / energy.sum())
+        j = range(-(self.n_samples // 2), self.n_samples - self.n_samples // 2)
+        band = energy[bisect.bisect_left(j, k_lo, key=self.k_at):
+                      bisect.bisect_right(j, k_hi, key=self.k_at)]
+        return float(band.sum() / energy.sum())
 
     def leakage(self, half_width: float) -> float:
         """Energy fraction outside [-half_width, band_limit + half_width]."""

@@ -67,6 +67,7 @@ def test_dyn_spectrum_builds_no_k_array(dyn_signal):
     sd = spectrum(dyn_signal, band_limit=1.0)
     amplitudes_from_spectrum(sd, ModeGrid.for_signal(dyn_signal))
     parseval_residual(dyn_signal, sd)
+    sd.leakage(0.005)
     assert "k" not in vars(sd)
 
 
@@ -75,6 +76,31 @@ def test_certificate_band_confinement(cert_spectrum):
     frac = cert_spectrum.band_energy_fraction(-kappa, 1.0 + kappa)
     assert frac >= 0.9999
     assert cert_spectrum.is_band_limited(kappa)
+
+
+def _masked_band_fraction(sd, k_lo, k_hi):
+    """Reference: the band as a boolean mask over the whole k array."""
+    energy = (np.abs(sd.values) / np.abs(sd.values).max()) ** 2
+    inside = (sd.k >= k_lo) & (sd.k <= k_hi)
+    return float(energy[inside].sum() / energy.sum())
+
+
+@pytest.mark.parametrize("n", [512, 513, 2**13, 2**15, 2**16])
+def test_band_slice_matches_mask_bitwise(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sd = SpectralDensity(values=values, band_limit=1.0, eps_band=1e-4, z_min=0.0,
+                         dz=0.30517578125)
+    k = sd.k
+    on_grid = rng.choice(k, size=(100, 2))  # edges exactly on a k value
+    bands = [tuple(sorted(pair)) for pair in on_grid]
+    bands += [tuple(sorted(rng.uniform(1.1 * k[0], 1.1 * k[-1], 2))) for _ in range(100)]
+    bands += [(k[3], k[3]), (k[5], k[4]), (k[0], k[-1]), (-np.inf, np.inf),
+              (2 * k[0], 0.5 * k[0]), (2 * k[-1], 3 * k[-1]), (np.nan, 1.0), (-1.0, np.nan)]
+    for k_lo, k_hi in bands:
+        for lo, hi in ((k_lo, k_hi), (np.nextafter(k_lo, -np.inf), np.nextafter(k_hi, np.inf)),
+                       (np.nextafter(k_lo, np.inf), np.nextafter(k_hi, -np.inf))):
+            assert sd.band_energy_fraction(lo, hi) == _masked_band_fraction(sd, lo, hi)
 
 
 def test_window_blur_leakage_small():

@@ -22,7 +22,7 @@ from superosc.errors import (
 )
 from superosc.frequency import zero_crossings
 from superosc.params import QUARTER
-from superosc.synthesis import LOG_DOUBLE_MAX
+from superosc.synthesis import INTEGRAL_HONEST_CAP, LOG_DOUBLE_MAX
 
 from superosc.cli import _grid_from, _pair_from, _window_from
 
@@ -122,12 +122,92 @@ def test_integral_overflow_precondition():
         synth_integral(p, -1.0)
 
 
-def test_integral_subdivision_budget_enforced():
-    p = _p(0.3, 1.5)  # deepest phase budget of the acceptance-1 domain
-    res = synth_integral(p, -20.0)
-    assert res.n_evals > 15 * (int(30.0 / 3.0) + 3)  # needs many bisections
+def _shifted_coefficients(p, z):
+    """(phase_coeff, modulus_rate) of the z <= 0 contour, as synth_integral forms them."""
+    from superosc.synthesis import _flattening_shift
+
+    t = _flattening_shift(p, z)
+    phase = 0.5 * z * p.band_limit * math.cosh(t) - math.cosh(p.boost - t) * p.inv_sq_delta
+    return phase, _modulus_rate(p, z, t)
+
+
+@pytest.mark.parametrize("phase,modulus", [(1.0, 0.0), (47.3, 0.0), (400.0, 0.0),
+                                           (0.0, 0.5), (0.0, 5.0), (0.0, 29.0),
+                                           (40.0, 10.0), (3.0, 25.0)])
+def test_trapezoid_converges_to_mpmath_bessel(phase, modulus):
+    # integral over [0, 2 pi] of exp(m sin b + i c cos b) = 2 pi I0(sqrt(m^2 - c^2)):
+    # 2 pi J0(c) at m = 0, 2 pi I0(m) at c = 0; scaled by e^-m as on the growth side
+    import mpmath
+
+    from superosc.synthesis import _MACHINE_EPS, _circle_trapezoid, _trapezoid_nodes
+
+    with mpmath.workdps(40):
+        arg = mpmath.sqrt(mpmath.mpf(modulus) ** 2 - mpmath.mpf(phase) ** 2)
+        ref = complex(2 * mpmath.pi * mpmath.besseli(0, arg) * mpmath.exp(-modulus))
+    # synth_integral's rounding floor: the sum's, and that of each node's exponent
+    rounding = (16.0 + abs(phase) + abs(modulus)) * _MACHINE_EPS * 2.0 * math.pi
+    rule = _trapezoid_nodes(phase, modulus)
+    accepted = []
+    for n_nodes in range(8, rule + 1, 4):
+        try:
+            res = _circle_trapezoid(phase, modulus, modulus, n_nodes)
+        except QuadratureNoConvergence:
+            continue
+        # the estimate |T_N - T_N/2| bounds the true error, up to rounding
+        assert abs(res.value - ref) <= res.error + rounding
+        assert res.n_evals == n_nodes
+        accepted.append(n_nodes)
+    assert accepted and accepted[-1] == rule
+    assert abs(res.value - ref) <= 1e-13 * (1.0 + abs(ref))
+
+
+def test_deepest_acceptance_point_uses_node_rule():
+    from superosc.synthesis import _trapezoid_nodes
+
+    p, z = _p(0.3, 1.5), -20.0  # deepest phase budget of the acceptance-1 domain
+    res = synth_integral(p, z)
+    assert res.n_evals == _trapezoid_nodes(*_shifted_coefficients(p, z))
+    closed = synth_bessel(p, z)
+    assert abs(res.value - closed) <= 1e-8 * abs(closed)
+    assert res.error < 1e-8
+
+
+def test_trapezoid_refuses_too_few_nodes():
+    from superosc.synthesis import _circle_trapezoid
+
+    phase, modulus = _shifted_coefficients(_p(0.3, 1.5), -20.0)
     with pytest.raises(QuadratureNoConvergence):
-        synth_integral(p, -20.0, max_subdivisions=1)
+        _circle_trapezoid(phase, modulus, 0.0, 32)
+
+
+def test_integral_wide_domain_seeded():
+    # z far past the acceptance-1 domain, where the phase budget and the node count peak
+    rng = np.random.default_rng(20261019)
+    max_evals, n_flat, n_growth = 0, 0, 0
+    for _ in range(2000):
+        delta = float(rng.uniform(0.05, 0.9))
+        boost = float(rng.uniform(0.0, 3.0))
+        z = float(rng.uniform(-200.0, 20.0))
+        p = SuperoscParams(delta=delta, boost=boost, extent=1e-3)
+        if p.growth_exponent > 600.0:
+            continue
+        if z > 0.0:
+            try:
+                quad = synth_integral(p, z)
+            except QuadratureNoConvergence:  # only the honest-cancellation cap refuses
+                assert 0.5 * z * p.band_limit * math.sinh(boost) > INTEGRAL_HONEST_CAP
+                continue
+            assert abs(quad.value - synth_bessel(p, z)) <= quad.error
+            n_growth += 1
+        else:
+            quad = synth_integral(p, z)  # never refused on the flat contour
+            closed = synth_bessel(p, z)
+            assert abs(quad.value - closed) <= 1e-9 * (abs(closed) + 1e-30)
+            assert abs(quad.value - closed) <= quad.error
+            n_flat += 1
+        max_evals = max(max_evals, quad.n_evals)
+    assert n_flat > 1500 and n_growth > 20
+    assert max_evals <= 1500
 
 
 # ------------------------------------------------------- contour shift ----
