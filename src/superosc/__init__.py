@@ -16,12 +16,9 @@ from .dynamics import (
     matched_sine_amplitude,
     monochromatic_reference,
     probability_curve,
-    transition_probability,
 )
 from .energy import (
     EnergyReport,
-    compute_I1,
-    compute_I2,
     compute_I3,
     energy_balance,
     i2_over_gap,
@@ -29,21 +26,12 @@ from .energy import (
 )
 from .field import (
     CoherentAmplitudes,
-    FourierCoeffs,
     ModeGrid,
     amplitudes_from_spectrum,
     energy_before,
     expectation_B,
-    fourier_coeffs,
-    two_point_function,
-    vacuum_two_point,
 )
-from .frequency import (
-    frequency_profile,
-    instantaneous_frequency,
-    window_frequency,
-    zero_crossings,
-)
+from .frequency import frequency_profile, window_frequency, zero_crossings
 from .params import QUARTER, THREE_QUARTER, SuperoscParams, WindowSpec, locked_delta
 from .signal import SampledSignal
 from .spectral import SpectralDensity, parseval_residual, spectrum
@@ -53,9 +41,7 @@ from .synthesis import (
     component_log,
     growth_region,
     make_real_superosc,
-    radicand,
     sample_component,
-    synth_asymptotic,
     synth_bessel,
     synth_integral,
 )

@@ -33,6 +33,7 @@ from .dynamics import (
     detuning_scan,
     fit_exponent,
     matched_sine_amplitude,
+    monochromatic_reference,
     probability_curve,
 )
 from .energy import compute_I3, energy_balance, i2_over_gap, sine_overlap_denominator
@@ -477,7 +478,7 @@ def run_transition(conf: dict) -> RunRecord:
     curve = probability_curve(sig, particle, times, label="transition")
     fit = fit_exponent(curve, (t_lo, t_hi))
     amp = matched_sine_amplitude(sig, gap, -pair.extent, 0.0)
-    mono = (particle.coupling * amp * times) ** 2 / 4.0
+    mono = monochromatic_reference(gap, amp, times, particle.coupling)
     equiv_sel = times >= 10.0 * 2.0 * math.pi / gap
     equiv = np.abs(curve.values[equiv_sel] / mono[equiv_sel] - 1.0)
     payload = {

@@ -36,6 +36,7 @@ from .errors import DegenerateDenominator, DomainError, InsufficientData
 from .signal import SampledSignal
 
 BREAKDOWN_THRESHOLD = 0.1  # first-order validity guard on P
+MIN_REL_DETUNING = 0.1  # a selectivity probe is detuned by at least this fraction of the gap
 SPLINE_MARGIN = 64  # samples kept beyond the detector's reach on each side
 
 # Moments m_p(x) = int_0^1 u^p exp(-i x u) du, with mu_p(tau) = tau^(p+1) m_p(Omega tau).
@@ -65,6 +66,10 @@ class TwoLevelParticle:
     detector_z: float = 0.0
 
     def __post_init__(self):
+        for name in ("gap_frequency", "coupling", "detector_z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gap_frequency <= 0.0:
             raise ValueError("gap_frequency must be > 0")
 
@@ -141,12 +146,6 @@ def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> 
     return _spline_amplitudes(spline, gaps, detector_z, times)
 
 
-def transition_probability(s: SampledSignal, particle: TwoLevelParticle, t: float) -> float:
-    """P(t) for one time; see module docstring."""
-    (amp,) = _excitation_amplitudes(s, particle.gap_frequency, t, particle.detector_z)[0]
-    return particle.coupling**2 * abs(amp) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityCurve:
     times: np.ndarray
@@ -177,10 +176,13 @@ def probability_curve(s: SampledSignal, particle: TwoLevelParticle, times,
                             coupling=particle.coupling, label=label or s.label)
 
 
-def monochromatic_reference(gap_frequency: float, amplitude: float, t: float,
-                            coupling: float = 1.0) -> float:
-    """Resonant closed form g^2 amplitude^2 t^2 / 4 for F = amplitude*sin(Omega z)."""
-    if t < 0.0:
+def monochromatic_reference(gap_frequency: float, amplitude: float, t,
+                            coupling: float = 1.0):
+    """Resonant closed form g^2 amplitude^2 t^2 / 4 for F = amplitude*sin(Omega z).
+
+    ``t`` is a time or an array of times.
+    """
+    if np.any(np.asarray(t) < 0.0):
         raise DomainError("t must be >= 0")
     return (coupling * amplitude * t) ** 2 / 4.0
 
@@ -239,10 +241,10 @@ class DetuningScan:
     t: float
     coupling: float
 
-    def selectivity(self, matched_gap: float, min_rel_detuning: float = 0.1) -> float:
+    def selectivity(self, matched_gap: float) -> float:
         """P(matched) over the largest P among probes detuned by >= 10%."""
         i_match = int(np.argmin(np.abs(self.gaps - matched_gap)))
-        others = np.abs(self.gaps - matched_gap) >= min_rel_detuning * matched_gap
+        others = np.abs(self.gaps - matched_gap) >= MIN_REL_DETUNING * matched_gap
         if not others.any():
             raise InsufficientData("no probe detuned by the required fraction")
         worst = self.probabilities[others].max()

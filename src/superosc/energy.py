@@ -34,7 +34,6 @@ from .dynamics import TwoLevelParticle
 from .errors import BalanceViolation, CutoffMissing, DegenerateDenominator, DomainError
 from .field import CoherentAmplitudes, ModeGrid, energy_before
 
-MIN_THETA = 4.0 * math.pi      # below this the closed form is not trusted
 BALANCE_THETA = 40.0 * math.pi  # minimum for a full balance report
 RESIDUAL_TOL = 0.05
 
@@ -52,14 +51,6 @@ def i2_over_gap(theta: float) -> float:
     return -numerator / denominator
 
 
-def compute_I2(gap_frequency: float, t: float) -> float:
-    """I2/E by exact trig antiderivatives; requires Omega*t >= 4 pi."""
-    theta = gap_frequency * t
-    if theta < MIN_THETA:
-        raise DomainError(f"Omega*t = {theta:.3f} below the {MIN_THETA:.3f} floor")
-    return i2_over_gap(theta)
-
-
 def sine_overlap_denominator(gap_frequency: float, t: float,
                              amplitude: float = 1.0) -> float:
     """|int_0^t amplitude sin(Omega t') exp(-i Omega t') dt'|^2, closed form."""
@@ -68,11 +59,6 @@ def sine_overlap_denominator(gap_frequency: float, t: float,
     s1 = math.sin(theta)
     base = s1**4 / (4.0 * gap_frequency**2) + (t / 2.0 - s2 / (4.0 * gap_frequency)) ** 2
     return amplitude**2 * base
-
-
-def compute_I1(ca: CoherentAmplitudes) -> float:
-    """Identically the pre-interaction energy (structural delegation)."""
-    return energy_before(ca).value
 
 
 def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
@@ -143,7 +129,7 @@ def energy_balance(ca: CoherentAmplitudes, particle: TwoLevelParticle, t: float,
             f"balance report requires Omega*t >= {BALANCE_THETA:.1f}, got {theta:.1f}"
         )
     warnings: list[str] = []
-    e_b = compute_I1(ca)
+    e_b = energy_before(ca).value
     i1 = e_b  # structural identity
     gap_e = particle.gap_energy
     i2 = gap_e * i2_over_gap(theta)

@@ -15,10 +15,11 @@ the magnetic-field expectation
             (Re alpha_k sin(k z - w t) + Im alpha_k cos(k z - w t))
 reproduce the right-moving waveform F(z - c t).
 
-On the sample grid, B(z, t) is therefore the t = 0 field moved by c t: its
-mode sum is the inverse box transform of F(k) with the grid origin moved
-from z_min to z_min - c t, which ``spectral.box_irfft`` applies by the DFT
-shift theorem instead of a second phase ramp exp(-i omega t).
+B(z, t) is evaluated on the sample grid only, where it is the t = 0 field
+moved by c t: its mode sum is the inverse box transform of F(k) with the
+grid origin moved from z_min to z_min - c t, which ``spectral.box_irfft``
+applies by the DFT shift theorem instead of a second phase ramp
+exp(-i omega t).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CutoffMissing, InfraredError, TruncationError
+from .errors import InfraredError, TruncationError
 from .params import MAX_COUNT
 from .signal import SampledSignal
-from .spectral import SpectralDensity, box_fft, box_irfft
+from .spectral import SpectralDensity, box_irfft
 
 ENERGY_ROUTE_TOL = 1e-8
 
@@ -53,6 +54,8 @@ class ModeGrid:
             raise ValueError(f"n_modes = {self.n_modes} outside [1, {MAX_COUNT}]")
         k = self.dk * np.arange(1, self.n_modes + 1)
         if self.uv_cutoff is not None:
+            if not math.isfinite(self.uv_cutoff):
+                raise ValueError(f"uv_cutoff must be finite, got {self.uv_cutoff}")
             if self.uv_cutoff <= 0.0:
                 raise ValueError("uv_cutoff must be positive")
             if k[-1] > self.uv_cutoff:
@@ -85,55 +88,6 @@ class ModeGrid:
         return cls(box_length=s.box_length, n_modes=(s.n - 1) // 2, uv_cutoff=uv_cutoff)
 
 
-def _mode_sum(k: np.ndarray, a: np.ndarray, b: np.ndarray, z, t: float) -> np.ndarray:
-    """Direct sum_n a_n cos(k_n z - w_n t) + b_n sin(k_n z - w_n t), w = c k.
-
-    Chunked over modes to bound memory.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros(z.size)
-    step = 4096
-    for i in range(0, k.size, step):
-        kk = k[i:i + step]
-        ph = np.outer(z, kk) - kk * t
-        out += np.sin(ph) @ b[i:i + step]
-        out += np.cos(ph) @ a[i:i + step]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class FourierCoeffs:
-    """Real Fourier-series coefficients on the mode lattice."""
-
-    grid: ModeGrid
-    a: np.ndarray  # cosine channel
-    b: np.ndarray  # sine channel
-
-    def reconstruct(self, z, t: float = 0.0) -> np.ndarray:
-        """Direct resummation sum_n a_n cos(k z - w t) + b_n sin(k z - w t)."""
-        return _mode_sum(self.grid.wavenumbers, self.a, self.b, z, t)
-
-
-def fourier_coeffs(s: SampledSignal, grid: ModeGrid) -> FourierCoeffs:
-    """Cosine/sine coefficients a_n = (2/L) int F cos(k_n z), b_n likewise with sine.
-
-    Rectangle-rule quadrature on the sample grid, evaluated through the DFT:
-    mode n is DFT bin n of the signal's box.
-    """
-    if not s.real_valued:
-        raise TruncationError("fourier_coeffs requires a real-valued signal")
-    if not math.isclose(grid.box_length, s.box_length, rel_tol=1e-9):
-        raise TruncationError(
-            f"mode lattice box {grid.box_length} != signal box {s.box_length}"
-        )
-    m = grid.n_modes
-    if 2 * m >= s.n:
-        raise TruncationError("mode lattice reaches the Nyquist wavenumber")
-    transform = box_fft(s.values, s.z_min, s.dz)
-    coeff = (2.0 / grid.box_length) * transform[1:m + 1]
-    return FourierCoeffs(grid=grid, a=np.real(coeff), b=-np.imag(coeff))
-
-
 @dataclass(frozen=True, eq=False)
 class CoherentAmplitudes:
     """Per-mode coherent amplitudes alpha_k on the sample box they were read from.
@@ -163,31 +117,17 @@ class CoherentAmplitudes:
     def mean_photon_numbers(self) -> np.ndarray:
         return np.abs(self.alpha) ** 2
 
-    def is_classical(self, threshold: float = 10.0, support_frac: float = 1e-3) -> bool:
-        """All amplitudes large on the occupied support."""
-        mag = np.abs(self.alpha)
-        support = mag >= support_frac * mag.max()
-        return bool(support.any() and mag[support].min() >= threshold)
-
     def spectral_values(self) -> np.ndarray:
         """F(k) on the mode lattice, inverted from the amplitudes."""
         return -1j * self.alpha * np.sqrt(2.0 * math.pi * self.grid.omega / self.grid.box_length)
 
 
-def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid,
-                             require_band_limited: float | None = None) -> CoherentAmplitudes:
+def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid) -> CoherentAmplitudes:
     """alpha_k = i sqrt(L/(2 pi omega_k)) F(k_n) on the mode lattice.
 
     Mode n is spectral bin n // 2 + n of the signed-k grid, whose k = 0 bin
-    sits at n_samples // 2.  Pass ``require_band_limited=half_width`` to
-    insist the spectral density carries its band-confinement certificate for
-    that blur width first (grid-truncated signals are legitimate states but
-    not certifiable).
+    sits at n_samples // 2.
     """
-    if require_band_limited is not None and not sd.is_band_limited(require_band_limited):
-        raise TruncationError(
-            f"spectral density not band-limited at eps_band = {sd.eps_band:g}"
-        )
     if not math.isclose(sd.dk, grid.dk, rel_tol=1e-9):
         raise TruncationError(
             f"spectral spacing {sd.dk} does not match mode spacing {grid.dk}"
@@ -203,58 +143,19 @@ def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid,
                               n_samples=sd.n_samples)
 
 
-def expectation_B(ca: CoherentAmplitudes, z=None, t: float = 0.0):
-    """Field expectation at time t.
+def expectation_B(ca: CoherentAmplitudes, t: float = 0.0) -> np.ndarray:
+    """Field expectation at time t on the originating sample grid.
 
-    With z omitted, evaluates on the originating sample grid through one
-    inverse FFT (exact mode resummation); as omega = c k with c = 1, time t
-    is a move of the grid origin by -t.  With explicit z (scalar or array),
-    performs the direct mode sum.
+    One inverse FFT resums the modes exactly; as omega = c k with c = 1,
+    time t is a move of the grid origin by -t.
     """
-    if z is None:
-        n, m = ca.n_samples, ca.grid.n_modes
-        if 2 * m >= n:
-            raise TruncationError("mode lattice reaches the Nyquist wavenumber of the grid")
-        half = np.zeros(n // 2 + 1, dtype=complex)
-        half[1:m + 1] = ca.spectral_values()
-        # irfft supplies the k < 0 half as the conjugate mirror of the modes
-        return box_irfft(half, ca.z_min - t, ca.dz, n)
-
-    coeff = np.sqrt(8.0 * math.pi * ca.grid.omega / ca.grid.box_length**3)
-    out = _mode_sum(ca.grid.wavenumbers, coeff * np.imag(ca.alpha),
-                    coeff * np.real(ca.alpha), z, t)
-    return out if out.size > 1 else float(out[0])
-
-
-class TwoPointResult(NamedTuple):
-    product: float
-    vacuum: complex
-
-    @property
-    def total(self) -> complex:
-        return self.product + self.vacuum
-
-
-def vacuum_two_point(box_length: float, uv_cutoff: float, tau: float) -> complex:
-    """(1/L^2) int_0^{w_uv} dw w exp(i w tau), in closed form (c = hbar = 1)."""
-    w_uv = uv_cutoff  # omega = c k
-    if tau == 0.0:
-        integral = 0.5 * w_uv**2
-    else:
-        e = np.exp(1j * w_uv * tau)
-        integral = w_uv * e / (1j * tau) + (e - 1.0) / tau**2
-    return complex(integral / box_length**2)
-
-
-def two_point_function(ca: CoherentAmplitudes, z0: float, t1: float,
-                       t2: float) -> TwoPointResult:
-    """Product term F(z0-t1) F(z0-t2) plus the explicit cutoff vacuum term."""
-    if ca.grid.uv_cutoff is None:
-        raise CutoffMissing("two_point_function requires uv_cutoff on the mode grid")
-    b1 = expectation_B(ca, z0, t1)
-    b2 = expectation_B(ca, z0, t2)
-    vac = vacuum_two_point(ca.grid.box_length, ca.grid.uv_cutoff, t2 - t1)
-    return TwoPointResult(product=float(b1 * b2), vacuum=vac)
+    n, m = ca.n_samples, ca.grid.n_modes
+    if 2 * m >= n:
+        raise TruncationError("mode lattice reaches the Nyquist wavenumber of the grid")
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[1:m + 1] = ca.spectral_values()
+    # irfft supplies the k < 0 half as the conjugate mirror of the modes
+    return box_irfft(half, ca.z_min - t, ca.dz, n)
 
 
 class EnergyBefore(NamedTuple):

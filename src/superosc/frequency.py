@@ -1,20 +1,18 @@
-"""Local-frequency measurement on sampled signals.
+"""Local-frequency measurement on sampled signals: a profile over a window,
+and its mean.
 
 Complex signals: spatial derivative of the unwrapped phase by central
 differences.  A profile over [z_lo, z_hi] unwraps only the samples inside
 the window plus the one stencil sample beyond each end: central differences
 of an unwrapped phase are local, so the result is the whole-grid unwrap's,
-without the rounding of a phase that has grown across the whole box.
-
-Real signals: zero-crossing spacing, linearly interpolated between samples
-(exact-zero samples count as crossings), averaged over the six crossings
-nearest the query point.
-
-The non-vanishing guard compares against the *local* neighborhood maximum,
-not the global grid maximum: admissible waveforms carry an exponential bump
+without the rounding of a phase that has grown across the whole box.  Nor
+does the magnitude enter: admissible waveforms carry an exponential bump
 elsewhere on the grid that exceeds the window amplitude by hundreds of
-orders of magnitude, while the phase remains perfectly well conditioned
-locally.
+orders of magnitude, while the phase remains well conditioned locally.
+
+Real signals: pi over the spacing of consecutive zero crossings, linearly
+interpolated between samples (exact-zero samples count as crossings), at
+the crossings' midpoints.
 """
 
 from __future__ import annotations
@@ -23,10 +21,6 @@ import numpy as np
 
 from .errors import EdgeError, NodeError
 from .signal import SampledSignal
-
-NODE_THRESHOLD = 1e-12
-_STENCIL = 4  # half-width, in samples, of the complex-phase stencil
-_N_CROSSINGS = 6
 
 
 def zero_crossings(s: SampledSignal) -> np.ndarray:
@@ -40,44 +34,9 @@ def zero_crossings(s: SampledSignal) -> np.ndarray:
     return np.unique(np.concatenate([pos, exact]))
 
 
-def _complex_pointwise(s: SampledSignal, z: float) -> float:
-    i = s.index_of(z)
-    if i < _STENCIL or i >= s.n - _STENCIL:
-        raise EdgeError(f"z = {z} within {_STENCIL} samples of the grid boundary")
-    sl = slice(i - _STENCIL, i + _STENCIL + 1)
-    local = s.values[sl]
-    if abs(s.values[i]) <= NODE_THRESHOLD * np.abs(local).max():
-        raise NodeError(f"signal magnitude vanishes at z = {z}")
-    phase = np.unwrap(np.angle(local))
-    return float((phase[_STENCIL + 1] - phase[_STENCIL - 1]) / (2.0 * s.dz))
-
-
-def _real_pointwise(s: SampledSignal, z: float) -> float:
-    crossings = zero_crossings(s)
-    if crossings.size < _N_CROSSINGS:
-        raise NodeError("fewer than six zero crossings on the grid")
-    order = np.argsort(np.abs(crossings - z))
-    six = np.sort(crossings[order[:_N_CROSSINGS]])
-    if six[0] <= s.z_min + s.dz or six[-1] >= s.z_max - s.dz:
-        raise EdgeError(f"crossing neighborhood of z = {z} touches the grid boundary")
-    spacing = float(np.mean(np.diff(six)))
-    # query point sitting in a dead zone far from every crossing has no
-    # locally defined oscillation rate
-    if np.min(np.abs(six - z)) > 2.0 * spacing:
-        raise NodeError(f"signal has no oscillation near z = {z}")
-    return float(np.pi / spacing)
-
-
-def instantaneous_frequency(s: SampledSignal, z: float) -> float:
-    """Local wavenumber at z (inverse length)."""
-    if s.real_valued:
-        return _real_pointwise(s, z)
-    return _complex_pointwise(s, z)
-
-
 def frequency_profile(s: SampledSignal, z_lo: float | None = None,
                       z_hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(z, local wavenumber) over [z_lo, z_hi] for a complex signal."""
+    """(z, local wavenumber) over [z_lo, z_hi]; see the module docstring."""
     if s.real_valued:
         crossings = zero_crossings(s)
         if z_lo is not None:

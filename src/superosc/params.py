@@ -11,7 +11,7 @@ k0 = 1, so every knob is a dimensionless multiple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PhaseLockViolation
 
@@ -33,13 +33,18 @@ _LOCK_OFFSET = {QUARTER: math.pi / 4.0, THREE_QUARTER: 3.0 * math.pi / 4.0}
 _LOCK_TOL = 1e-12
 
 
+def _lock_budget(m_phase: int, branch: str) -> float:
+    """The locked phase budget delta**-2 = 2 pi m_phase + the branch's offset."""
+    return 2.0 * math.pi * m_phase + _LOCK_OFFSET[branch]
+
+
 def locked_delta(m_phase: int, branch: str) -> float:
     """Sharpness value whose inverse square hits the requested phase lock."""
     if branch not in _LOCK_OFFSET:
         raise ValueError(f"unknown phase-lock branch {branch!r}")
     if m_phase < 1:
         raise ValueError("m_phase must be a positive integer")
-    return 1.0 / math.sqrt(2.0 * math.pi * m_phase + _LOCK_OFFSET[branch])
+    return 1.0 / math.sqrt(_lock_budget(m_phase, branch))
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,11 @@ class SuperoscParams:
     inv_sq_delta: float | None = None
 
     def __post_init__(self):
+        for name in ("amplitude", "delta", "boost", "band_limit", "extent",
+                     "window_criterion", "inv_sq_delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.inv_sq_delta is None:
@@ -90,7 +100,7 @@ class SuperoscParams:
                 f"> {self.window_criterion:.4g}; shrink extent or delta"
             )
         if self.phase_branch is not None:
-            target = 2.0 * math.pi * self.m_phase + _LOCK_OFFSET[self.phase_branch]
+            target = _lock_budget(self.m_phase, self.phase_branch)
             if abs(self.inv_sq_delta - target) > _LOCK_TOL:
                 raise PhaseLockViolation(
                     f"delta**-2 = {self.inv_sq_delta!r} is not {self.phase_branch}-locked "
@@ -99,13 +109,8 @@ class SuperoscParams:
 
     @classmethod
     def phase_locked(cls, m_phase: int, branch: str = QUARTER, **kwargs) -> "SuperoscParams":
-        if branch not in _LOCK_OFFSET:
-            raise ValueError(f"unknown phase-lock branch {branch!r}")
-        if m_phase < 1:
-            raise ValueError("m_phase must be a positive integer")
-        inv_sq = 2.0 * math.pi * m_phase + _LOCK_OFFSET[branch]
-        return cls(delta=1.0 / math.sqrt(inv_sq), m_phase=m_phase, phase_branch=branch,
-                   inv_sq_delta=inv_sq, **kwargs)
+        return cls(delta=locked_delta(m_phase, branch), m_phase=m_phase, phase_branch=branch,
+                   inv_sq_delta=_lock_budget(m_phase, branch), **kwargs)
 
     @classmethod
     def locked_pair(
@@ -147,9 +152,6 @@ class SuperoscParams:
         sign = self.branch_sign if branch_sign is None else branch_sign
         return 0.5 * self.band_limit * (1.0 + sign * math.cosh(self.boost))
 
-    def with_amplitude(self, amplitude: float) -> "SuperoscParams":
-        return replace(self, amplitude=amplitude)
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -164,6 +166,8 @@ class WindowSpec:
     half_width: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.half_width):
+            raise ValueError(f"half_width must be finite, got {self.half_width}")
         if self.half_width < 0.0:
             raise ValueError("half_width must be >= 0")
 

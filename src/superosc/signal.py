@@ -79,12 +79,3 @@ class SampledSignal:
 
     def covers(self, z_lo: float, z_hi: float) -> bool:
         return self.z_min <= z_lo and z_hi <= self.z_max
-
-    def with_values(self, values: np.ndarray) -> "SampledSignal":
-        return SampledSignal(
-            z_min=self.z_min,
-            dz=self.dz,
-            values=values,
-            k_max=self.k_max,
-            label=self.label,
-        )

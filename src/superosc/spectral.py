@@ -83,13 +83,6 @@ class SpectralDensity:
                       bisect.bisect_right(j, k_hi, key=self.k_at)]
         return float(band.sum() / energy.sum())
 
-    def leakage(self, half_width: float) -> float:
-        """Energy fraction outside [-half_width, band_limit + half_width]."""
-        return 1.0 - self.band_energy_fraction(-half_width, self.band_limit + half_width)
-
-    def is_band_limited(self, half_width: float) -> bool:
-        return self.leakage(half_width) <= self.eps_band
-
 
 def _origin_shift(z0: float, dz: float) -> tuple[int, float]:
     """z0/dz as m + f, m an integer and |f| <= 1/2.

@@ -1,16 +1,17 @@
 """Synthesis of the superoscillatory band-limited waveform.
 
-Three routes to the same single-component function F(z):
+Two routes to the same single-component function F(z):
 
-* ``synth_integral``  -- the defining circle integral, evaluated by the
+* ``synth_integral`` -- the defining circle integral, evaluated by the
   periodic trapezoid rule on an imaginary-shifted contour that removes the
   exponential amplitude of the integrand analytically (see below);
-* ``synth_bessel``    -- the closed form, a carrier times the zeroth Bessel
+* ``synth_bessel``   -- the closed form, a carrier times the zeroth Bessel
   function of argument sqrt(radicand)/delta^2, which continues to a modified
   Bessel function of the first kind inside the growth region where the
-  radicand goes negative;
-* ``synth_asymptotic``-- the large-argument cosine approximation, valid for
-  z < 0 and small delta.
+  radicand goes negative.
+
+The closed form is the route every sampler uses; the integral is its
+independent check.
 
 Two phase-locked components combine into a complex signal that inside
 [-extent, 0] approximates amplitude * exp(i*z*k0*(1 +- cosh A)/2), i.e. a
@@ -114,13 +115,9 @@ _MACHINE_EPS = np.finfo(float).eps
 
 
 def _radicand(inv_sq_delta: float, boost: float, band_limit: float, z):
+    """1 - delta^2 z k0 cosh A + delta^4 z^2 k0^2 / 4 (negative in the growth region)."""
     u = z * band_limit / inv_sq_delta
     return 1.0 - u * math.cosh(boost) + 0.25 * u**2
-
-
-def radicand(p: SuperoscParams, z):
-    """1 - delta^2 z k0 cosh A + delta^4 z^2 k0^2 / 4 (negative in the growth region)."""
-    return _radicand(p.inv_sq_delta, p.boost, p.band_limit, np.asarray(z, dtype=float))
 
 
 def growth_region(p: SuperoscParams) -> tuple[float, float]:
@@ -268,24 +265,6 @@ def synth_bessel(p: SuperoscParams, z):
             "evaluate in log space or apply a window"
         )
     vals = unit * np.exp(logmag)
-    return complex(vals[0]) if scalar else vals
-
-
-def synth_asymptotic(p: SuperoscParams, z):
-    """Large-argument cosine approximation, z < 0 only, delta <= 0.2."""
-    if p.delta > 0.2:
-        raise DomainError(f"asymptotic route requires delta <= 0.2, got {p.delta}")
-    scalar = np.isscalar(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z >= 0.0):
-        raise DomainError("asymptotic route is defined for z < 0 only")
-    rad = radicand(p, z)
-    vals = (
-        p.amplitude
-        * rad**-0.25
-        * np.exp(0.5j * z * p.band_limit)
-        * np.cos(np.sqrt(rad) * p.inv_sq_delta - math.pi / 4.0)
-    )
     return complex(vals[0]) if scalar else vals
 
 

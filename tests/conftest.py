@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from superosc import (
+    SampledSignal,
     SuperoscParams,
     TwoLevelParticle,
     WindowSpec,
@@ -60,6 +61,12 @@ MILD = regime("synth.cfg")
 
 def cert_signal_of(pair):
     return pair.sample(*_grid_from(CERT, pair.k_max), window=_window_from(CERT), label="cert")
+
+
+def with_values(s: SampledSignal, values, z_min: float | None = None) -> SampledSignal:
+    """``s`` with new samples, and optionally a new origin; every other field kept."""
+    return SampledSignal(z_min=s.z_min if z_min is None else z_min, dz=s.dz, values=values,
+                         k_max=s.k_max, label=s.label)
 
 
 def mild_component(amplitude: float = 1.0) -> SuperoscParams:

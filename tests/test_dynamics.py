@@ -14,9 +14,10 @@ from superosc import (
     matched_sine_amplitude,
     monochromatic_reference,
     probability_curve,
-    transition_probability,
 )
 from superosc.errors import DomainError, InsufficientData
+
+from conftest import with_values
 
 OMEGA = 2.0
 
@@ -32,7 +33,7 @@ def test_zero_field_zero_probability():
     s = _sine_signal(amplitude=0.0)
     p = TwoLevelParticle(gap_frequency=OMEGA)
     for t in (0.0, 3.0, 40.0):
-        assert transition_probability(s, p, t) == 0.0
+        assert probability_curve(s, p, [t]).values[0] == 0.0
 
 
 def test_sine_full_period_closed_form():
@@ -41,20 +42,24 @@ def test_sine_full_period_closed_form():
     p = TwoLevelParticle(gap_frequency=OMEGA)
     for cycles in (10, 20):
         t = cycles * 2 * math.pi / OMEGA
-        assert transition_probability(s, p, t) == pytest.approx(t**2 / 4.0, rel=1e-6)
+        assert probability_curve(s, p, [t]).values[0] == pytest.approx(t**2 / 4.0, rel=1e-6)
 
 
 def test_monochromatic_reference_trivials():
     assert monochromatic_reference(OMEGA, 1.0, 0.0) == 0.0
     p1 = monochromatic_reference(OMEGA, 1.0, 7.0)
     assert monochromatic_reference(OMEGA, 2.0, 7.0) == pytest.approx(4.0 * p1)
+    times = np.array([0.0, 7.0])
+    assert np.array_equal(monochromatic_reference(OMEGA, 1.0, times), [0.0, p1])
+    with pytest.raises(DomainError):
+        monochromatic_reference(OMEGA, 1.0, np.array([7.0, -1.0]))
 
 
 def test_quadrature_matches_reference_closed_form():
     s = _sine_signal()
     p = TwoLevelParticle(gap_frequency=OMEGA)
     t = 40.0 * math.pi / OMEGA  # Omega t = 40 pi
-    quad = transition_probability(s, p, t)
+    quad = probability_curve(s, p, [t]).values[0]
     ref = monochromatic_reference(OMEGA, 1.0, t)
     assert abs(quad / ref - 1.0) < 1e-6
 
@@ -62,8 +67,8 @@ def test_quadrature_matches_reference_closed_form():
 def test_coupling_scales_quadratically():
     s = _sine_signal()
     t = 10.0
-    p1 = transition_probability(s, TwoLevelParticle(OMEGA, coupling=1.0), t)
-    p2 = transition_probability(s, TwoLevelParticle(OMEGA, coupling=2.0), t)
+    p1 = probability_curve(s, TwoLevelParticle(OMEGA, coupling=1.0), [t]).values[0]
+    p2 = probability_curve(s, TwoLevelParticle(OMEGA, coupling=2.0), [t]).values[0]
     assert p2 == pytest.approx(4.0 * p1, rel=1e-12)
 
 
@@ -71,13 +76,13 @@ def test_coverage_check():
     s = _sine_signal(z_lo=-20.0)
     p = TwoLevelParticle(gap_frequency=OMEGA)
     with pytest.raises(DomainError):
-        transition_probability(s, p, 50.0)
+        probability_curve(s, p, [50.0])
 
 
 def test_superosc_matches_sine_reference(dyn_signal, dyn_particle, dyn_pair):
     t = dyn_pair.extent / 2.0
     amp = matched_sine_amplitude(dyn_signal, OMEGA, -dyn_pair.extent, 0.0)
-    p_so = transition_probability(dyn_signal, dyn_particle, t)
+    p_so = probability_curve(dyn_signal, dyn_particle, [t]).values[0]
     p_ref = monochromatic_reference(OMEGA, amp, t)
     assert abs(p_so / p_ref - 1.0) < 0.05
 
@@ -163,8 +168,8 @@ def test_in_band_probe_reported_not_enhanced(dyn_signal):
 
 def test_long_time_boundedness(dyn_signal, dyn_particle):
     t1 = 2500.0
-    p1 = transition_probability(dyn_signal, dyn_particle, t1)
-    p2 = transition_probability(dyn_signal, dyn_particle, 2.0 * t1)
+    p1 = probability_curve(dyn_signal, dyn_particle, [t1]).values[0]
+    p2 = probability_curve(dyn_signal, dyn_particle, [2.0 * t1]).values[0]
     assert p2 / p1 <= 1.2
 
 
@@ -214,7 +219,7 @@ def test_local_spline_matches_whole_grid(grid, dyn_signal, dyn_particle, dyn_pai
     assert curve.values[0] == 0.0
     _assert_rel_close(curve.values[1:], refs[1:])
     for t in (times[3], t_max):
-        _assert_rel_close(transition_probability(s, dyn_particle, t),
+        _assert_rel_close(probability_curve(s, dyn_particle, [t]).values[0],
                           _whole_grid_probability(s, dyn_particle, t))
     gaps = dyn_particle.gap_frequency * np.array([0.5, 0.8, 1.0, 1.2, 1.6])
     scan = detuning_scan(s, gaps, t_max)
@@ -337,7 +342,7 @@ def test_huge_gap_is_finite_or_refused(dyn_signal):
         curve = probability_curve(dyn_signal, TwoLevelParticle(gap), [0.0, 1e-9, 50.0])
         assert np.all(np.isfinite(curve.values))
     for fn in (lambda: detuning_scan(dyn_signal, [1e308], 50.0),
-               lambda: transition_probability(dyn_signal, TwoLevelParticle(1e307), 50.0)):
+               lambda: probability_curve(dyn_signal, TwoLevelParticle(1e307), [50.0])):
         with pytest.raises(DomainError, match="overflows"):
             fn()
 
@@ -358,17 +363,12 @@ def test_selectivity_refuses_zero_probes():
 _T_CURVE = np.geomspace(5 * 2 * math.pi / OMEGA, 50.0, 16)
 
 
-def _with_values(s, values, z_min=None):
-    return SampledSignal(z_min=s.z_min if z_min is None else z_min, dz=s.dz, values=values,
-                         k_max=s.k_max, label=s.label)
-
-
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(-40, 40))
 def test_probability_scales_as_amplitude_squared(k, dyn_signal, dyn_particle):
     # multiplying by 2^k is exact in every step, the spline fit included
     curve = probability_curve(dyn_signal, dyn_particle, _T_CURVE)
-    scaled = probability_curve(_with_values(dyn_signal, dyn_signal.values * 2.0**k),
+    scaled = probability_curve(with_values(dyn_signal, dyn_signal.values * 2.0**k),
                                dyn_particle, _T_CURVE)
     assert np.array_equal(scaled.values, curve.values * 4.0**k)
     window = (_T_CURVE[0], _T_CURVE[-1])
@@ -387,8 +387,8 @@ def test_amplitudes_are_linear_in_the_samples(a, b, roll, gap, dyn_signal):
     f, g = dyn_signal.values, np.roll(dyn_signal.values, roll)
     times, gaps = _T_CURVE, np.array([gap, OMEGA])
     amp_f = _excitation_amplitudes(dyn_signal, gaps, times, 0.0)
-    amp_g = _excitation_amplitudes(_with_values(dyn_signal, g), gaps, times, 0.0)
-    amp_fg = _excitation_amplitudes(_with_values(dyn_signal, a * f + b * g), gaps, times, 0.0)
+    amp_g = _excitation_amplitudes(with_values(dyn_signal, g), gaps, times, 0.0)
+    amp_fg = _excitation_amplitudes(with_values(dyn_signal, a * f + b * g), gaps, times, 0.0)
     scale = abs(a) * np.abs(amp_f).max() + abs(b) * np.abs(amp_g).max()
     assert np.abs(amp_fg - (a * amp_f + b * amp_g)).max() <= 1e-12 * scale
 
@@ -400,7 +400,7 @@ def test_shifting_signal_and_detector_is_a_unit_phase(m, gap, dyn_signal):
     from superosc.dynamics import _excitation_amplitudes
 
     shift = m * dyn_signal.dz
-    moved = _with_values(dyn_signal, dyn_signal.values, z_min=dyn_signal.z_min + shift)
+    moved = with_values(dyn_signal, dyn_signal.values, z_min=dyn_signal.z_min + shift)
     amp = _excitation_amplitudes(dyn_signal, gap, _T_CURVE, 0.0)
     amp_moved = _excitation_amplitudes(moved, gap, _T_CURVE, shift)
     assert np.abs(np.abs(amp_moved) - np.abs(amp)).max() <= 1e-11 * np.abs(amp).max()

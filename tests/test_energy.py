@@ -8,8 +8,6 @@ from superosc import (
     ModeGrid,
     TwoLevelParticle,
     amplitudes_from_spectrum,
-    compute_I1,
-    compute_I2,
     compute_I3,
     energy_balance,
     energy_before,
@@ -55,12 +53,15 @@ def test_i2_ladder_monotone_off_lattice():
     assert devs[0] > devs[1] > devs[2]
 
 
-def test_i2_depends_on_theta_only():
-    # same Omega*t, different Omega: identical ratio to 1e-12
-    for theta in (13.7, 40 * math.pi + 0.3, 777.1):
-        a = compute_I2(1.0, theta)
-        b = compute_I2(2.0, theta / 2.0)
-        assert abs(a - b) <= 1e-12
+def test_i2_depends_on_theta_only(dyn_signal):
+    # same Omega*t, different Omega: the ledger's I2/E agrees to 1e-12
+    ca, grid = _dyn_amplitudes(dyn_signal)
+    vacuum = CoherentAmplitudes(grid=grid, alpha=np.zeros_like(ca.alpha),
+                                z_min=ca.z_min, dz=ca.dz, n_samples=ca.n_samples)
+    for theta in (40 * math.pi + 0.3, 777.1):
+        a, b = (energy_balance(vacuum, TwoLevelParticle(gap_frequency=gap), theta / gap, grid)
+                for gap in (1.0, 2.0))
+        assert abs(a.i2 / a.gap_energy - b.i2 / b.gap_energy) <= 1e-12
 
 
 def test_i2_deviation_bounded_by_inverse_theta():
@@ -71,8 +72,9 @@ def test_i2_deviation_bounded_by_inverse_theta():
 
 
 def test_i2_floor():
-    with pytest.raises(DomainError):
-        compute_I2(1.0, 2.0 * math.pi / 1.0)  # theta = 2 pi < 4 pi
+    for theta in (0.0, -2.0 * math.pi):
+        with pytest.raises(DomainError):
+            i2_over_gap(theta)
 
 
 # -------------------------------------------------------------------- I3 ----
@@ -196,9 +198,13 @@ def test_sweep_box_ladder_i3_matches_mpmath(tmp_path):
 # -------------------------------------------------------------------- I1 ----
 
 
-def test_i1_is_energy_before(dyn_signal):
-    ca, _ = _dyn_amplitudes(dyn_signal)
-    assert compute_I1(ca) == energy_before(ca).value  # bit-for-bit delegation
+def test_i1_is_energy_before(dyn_signal, dyn_pair):
+    ca, grid = _dyn_amplitudes(dyn_signal)
+    gap = dyn_pair.wavenumber
+    amp = matched_sine_amplitude(dyn_signal, gap, -dyn_pair.extent, 0.0)
+    report = energy_balance(ca, TwoLevelParticle(gap_frequency=gap), 100.0 * math.pi / gap,
+                            grid, amplitude=amp)
+    assert report.i1 == energy_before(ca).value  # bit-for-bit delegation
 
 
 def test_i1_amplitude_scaling(mild_pair_real):
@@ -207,7 +213,8 @@ def test_i1_amplitude_scaling(mild_pair_real):
     ca = amplitudes_from_spectrum(sd, grid)
     doubled = CoherentAmplitudes(grid=grid, alpha=2.0 * ca.alpha, z_min=ca.z_min,
                                  dz=ca.dz, n_samples=ca.n_samples)
-    assert compute_I1(doubled) == pytest.approx(4.0 * compute_I1(ca), rel=1e-12)
+    assert energy_before(doubled).value == pytest.approx(4.0 * energy_before(ca).value,
+                                                         rel=1e-12)
 
 
 # ----------------------------------------------------------------- balance ----

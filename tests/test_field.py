@@ -6,17 +6,19 @@ import pytest
 from superosc import (
     ModeGrid,
     SampledSignal,
+    SpectralDensity,
     amplitudes_from_spectrum,
     energy_before,
     expectation_B,
-    fourier_coeffs,
     spectrum,
-    two_point_function,
-    vacuum_two_point,
 )
-from superosc.errors import CutoffMissing, TruncationError
+from superosc.errors import TruncationError
 from superosc.field import CoherentAmplitudes
 from superosc.params import MAX_COUNT
+from superosc.spectral import box_fft
+
+from conftest import with_values
+from oracles import mode_sum_B
 
 
 def _windowed_wave(fn, k1=0.5, kappa=0.01, n=2**13, dz=0.25):
@@ -63,39 +65,37 @@ def test_mode_grid_refuses_lattice_beyond_uv_cutoff():
         ModeGrid(box_length=1000.0, n_modes=1, uv_cutoff=0.0)
 
 
-# -------------------------------------------------------- fourier coeffs ----
+# ------------------------------------------------------ mode channels ----
+# B's mode sum carries Im alpha on cos(k z - w t) and Re alpha on sin(k z - w t)
+
+
+def _on_lattice_wave(fn, k1=0.5):
+    """``_windowed_wave`` with k1 moved to the nearest mode of its box, and that mode."""
+    k = ModeGrid.for_signal(_windowed_wave(fn, k1=k1)).wavenumbers
+    k_on = float(k[np.argmin(np.abs(k - k1))])
+    return _windowed_wave(fn, k1=k_on), k_on
 
 
 def test_cosine_picks_a_channel():
-    k1 = 0.5  # on-lattice: 0.5 = n * 2 pi / 2048 for n = 163? no: pick exact below
-    s = _windowed_wave(np.cos, k1=k1)
-    grid = ModeGrid.for_box(s.box_length, 2.0)
-    # snap k1 to the lattice for an exact statement
-    k_on = grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - k1))]
-    s = _windowed_wave(np.cos, k1=float(k_on))
-    fc = fourier_coeffs(s, grid)
-    i = np.argmax(np.abs(fc.a))
-    assert grid.wavenumbers[i] == pytest.approx(k_on, rel=1e-12)
-    assert np.max(np.abs(fc.b)) <= 1e-6 * np.abs(fc.a[i])
+    s, k_on = _on_lattice_wave(np.cos)
+    ca = _amplitudes(s)
+    i = np.argmax(np.abs(ca.alpha.imag))
+    assert ca.grid.wavenumbers[i] == pytest.approx(k_on, rel=1e-12)
+    assert np.max(np.abs(ca.alpha.real)) <= 1e-6 * np.abs(ca.alpha.imag[i])
 
 
 def test_sine_picks_b_channel():
-    s = _windowed_wave(np.sin, k1=0.5)
-    grid = ModeGrid.for_box(s.box_length, 2.0)
-    k_on = grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - 0.5))]
-    s = _windowed_wave(np.sin, k1=float(k_on))
-    fc = fourier_coeffs(s, grid)
-    i = np.argmax(np.abs(fc.b))
-    assert grid.wavenumbers[i] == pytest.approx(k_on, rel=1e-12)
-    assert np.max(np.abs(fc.a)) <= 1e-6 * np.abs(fc.b[i])
+    s, k_on = _on_lattice_wave(np.sin)
+    ca = _amplitudes(s)
+    i = np.argmax(np.abs(ca.alpha.real))
+    assert ca.grid.wavenumbers[i] == pytest.approx(k_on, rel=1e-12)
+    assert np.max(np.abs(ca.alpha.imag)) <= 1e-6 * np.abs(ca.alpha.real[i])
 
 
 def test_round_trip_resummation(mild_pair_real):
-    grid = ModeGrid.for_signal(mild_pair_real)
-    fc = fourier_coeffs(mild_pair_real, grid)
+    ca = _amplitudes(mild_pair_real)
     idx = np.arange(0, mild_pair_real.n, 257)
-    z = mild_pair_real.z[idx]
-    rebuilt = fc.reconstruct(z)
+    rebuilt = mode_sum_B(ca, mild_pair_real.z[idx])
     err = np.abs(rebuilt - np.real(mild_pair_real.values[idx])).max()
     assert err <= 1e-4 * mild_pair_real.max_abs
 
@@ -103,26 +103,30 @@ def test_round_trip_resummation(mild_pair_real):
 def test_fourier_requires_matching_box(mild_pair_real):
     grid = ModeGrid.for_box(999.0, k_cut=2.0)
     with pytest.raises(TruncationError):
-        fourier_coeffs(mild_pair_real, grid)
+        amplitudes_from_spectrum(spectrum(mild_pair_real, band_limit=1.0), grid)
 
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_fourier_coeffs_refuses_nyquist_mode(n):
     # a unit wave at the top mode index n // 2: below Nyquist for odd n, at it for even n,
-    # where a cosine would read a = 2 and rebuild off by 1 at every sample
+    # where a cosine would read twice its amplitude and rebuild off by 1 at every sample
     dz = 0.25
     box = n * dz
     top = n // 2
     z = -4.0 + dz * np.arange(n)
-    s = SampledSignal(z_min=-4.0, dz=dz, values=np.cos(2 * math.pi * top * z / box), k_max=1.0)
+    values = np.cos(2 * math.pi * top * z / box)
+    # the wave never decays, so ``spectrum`` would refuse the box: transform it directly
+    sd = SpectralDensity(values=np.fft.fftshift(box_fft(values.astype(complex), -4.0, dz)),
+                         band_limit=1.0, eps_band=1e-4, z_min=-4.0, dz=dz)
     grid = ModeGrid(box_length=box, n_modes=top)
     if n % 2 == 0:
         with pytest.raises(TruncationError):
-            fourier_coeffs(s, grid)
+            amplitudes_from_spectrum(sd, grid)
         return
-    fc = fourier_coeffs(s, grid)
-    assert fc.a[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(fc.reconstruct(z) - s.values).max() <= 1e-12
+    ca = amplitudes_from_spectrum(sd, grid)
+    cos_channel = math.sqrt(8 * math.pi * grid.omega[-1] / box**3) * ca.alpha[-1].imag
+    assert cos_channel == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(expectation_B(ca) - values).max() <= 1e-12
 
 
 # ------------------------------------------------------------ amplitudes ----
@@ -141,16 +145,21 @@ def test_vacuum_amplitudes():
 
 
 def test_classicality_flag_scales_with_amplitude(dyn_signal):
+    # classical: at least 100 photons in every mode of the occupied support,
+    # the modes holding at least 1e-6 of the largest occupation
     ca = _amplitudes(dyn_signal)
-    assert not ca.is_classical()  # amplitude 1e-3 is deeply quantum here
     boosted = CoherentAmplitudes(grid=ca.grid, alpha=ca.alpha * 1e8,
                                  z_min=ca.z_min, dz=ca.dz, n_samples=ca.n_samples)
-    assert boosted.is_classical()
+    n, n_boosted = ca.mean_photon_numbers, boosted.mean_photon_numbers
+    support = n >= 1e-6 * n.max()
+    assert np.array_equal(n_boosted >= 1e-6 * n_boosted.max(), support)
+    assert n[support].min() < 100.0  # amplitude 1e-3 is deeply quantum here
+    assert n_boosted[support].min() >= 100.0
 
 
 def test_alpha_linear_in_amplitude(mild_pair_real):
     ca1 = _amplitudes(mild_pair_real)
-    doubled = mild_pair_real.with_values(mild_pair_real.values * 2.0)
+    doubled = with_values(mild_pair_real, mild_pair_real.values * 2.0)
     ca2 = _amplitudes(doubled)
     assert np.allclose(ca2.alpha, 2.0 * ca1.alpha, rtol=1e-12)
 
@@ -193,7 +202,7 @@ def test_pointwise_matches_grid_path(dyn_signal):
     grid_vals = expectation_B(ca)
     i = dyn_signal.index_of(-25.0)
     z_exact = float(dyn_signal.z[i])
-    direct = expectation_B(ca, z=z_exact)
+    direct = mode_sum_B(ca, z_exact)
     assert direct == pytest.approx(grid_vals[i], rel=1e-9, abs=1e-12)
 
 
@@ -209,7 +218,7 @@ def test_grid_path_at_fractional_time_matches_mode_sum(dyn_signal):
     t = 15.3  # 50.13... samples
     grid_vals = expectation_B(ca, t=t)
     idx = np.linspace(0, dyn_signal.n - 1, 64).astype(int)
-    direct = expectation_B(ca, z=dyn_signal.z[idx], t=t)
+    direct = mode_sum_B(ca, dyn_signal.z[idx], t=t)
     assert np.abs(direct - grid_vals[idx]).max() <= 1e-10 * np.abs(grid_vals).max()
 
 
@@ -284,44 +293,6 @@ def test_odd_grid_keeps_the_mode_below_nyquist():
     assert np.abs(expectation_B(ca) - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
-# ------------------------------------------------------------- two-point ----
-
-
-def test_vacuum_term_closed_form():
-    # integral of w exp(i w tau) up to the cutoff, against numerical quadrature
-    L, kuv, tau = 100.0, 10.0, 0.7
-    w = np.linspace(0.0, kuv, 200001)
-    num = np.trapezoid(w * np.exp(1j * w * tau), w) / L**2
-    assert vacuum_two_point(L, kuv, tau) == pytest.approx(num, rel=1e-8)
-    assert vacuum_two_point(L, kuv, 0.0) == pytest.approx(0.5 * kuv**2 / L**2)
-
-
-def test_vacuum_term_box_scaling(dyn_signal):
-    v1 = vacuum_two_point(1e4, 50.0, 0.7)
-    v2 = vacuum_two_point(1e5, 50.0, 0.7)
-    assert abs(v2) == pytest.approx(abs(v1) * 1e-2, rel=1e-12)
-
-
-def test_two_point_classical_regime():
-    # order-one waveform on the default 1e4 box: the explicit vacuum term is
-    # at least a million times below the product term
-    n, dz = 2**15, 10000.0 / 2**15
-    z = -n * dz / 2 + dz * np.arange(n)
-    vals = np.sin(0.5 * z) * np.exp(-0.5 * (0.005 * z) ** 2)
-    s = SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
-    ca = _amplitudes(s, uv_cutoff=50.0)
-    res = two_point_function(ca, z0=math.pi, t1=0.0, t2=5.0)
-    assert abs(res.product) > 0.1
-    assert abs(res.vacuum) / abs(res.product) <= 1e-6
-    assert res.total == pytest.approx(res.product + res.vacuum)
-
-
-def test_two_point_requires_cutoff(mild_pair_real):
-    ca = _amplitudes(mild_pair_real, uv_cutoff=None)
-    with pytest.raises(CutoffMissing):
-        two_point_function(ca, 0.0, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------- energy ----
 
 
@@ -333,7 +304,7 @@ def test_energy_routes_agree(dyn_signal, mild_pair_real):
 
 def test_energy_quadratic_in_amplitude(mild_pair_real):
     e1 = energy_before(_amplitudes(mild_pair_real)).value
-    doubled = mild_pair_real.with_values(mild_pair_real.values * 2.0)
+    doubled = with_values(mild_pair_real, mild_pair_real.values * 2.0)
     e2 = energy_before(_amplitudes(doubled)).value
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
@@ -360,7 +331,7 @@ def test_single_mode_occupation_consistency():
                        * np.exp(-0.5 * (kappa * z) ** 2), k_max=2.0)
     grid = ModeGrid.for_signal(s0)
     k_on = float(grid.wavenumbers[np.argmin(np.abs(grid.wavenumbers - k1_target))])
-    s = s0.with_values(np.exp(1j * k_on * z) * np.exp(-0.5 * (kappa * z) ** 2))
+    s = with_values(s0, np.exp(1j * k_on * z) * np.exp(-0.5 * (kappa * z) ** 2))
     ca = _amplitudes(s)
     e = energy_before(ca).value
     n_total = float(np.sum(ca.mean_photon_numbers))
@@ -383,12 +354,11 @@ def test_mode_grid_uv_invariant():
 
 def test_amplitudes_band_certificate_gate(dyn_signal, cert_signal):
     # the grid-truncated dynamics signal is a legitimate state but carries no
-    # band certificate; the certified waveform passes the gate
-    sd_dyn = spectrum(dyn_signal, band_limit=1.0)
-    grid = ModeGrid.for_signal(dyn_signal)
-    with pytest.raises(TruncationError, match="band-limited"):
-        amplitudes_from_spectrum(sd_dyn, grid, require_band_limited=1.5e-3)
-    sd_cert = spectrum(cert_signal, band_limit=1.0)
-    grid_c = ModeGrid.for_signal(cert_signal)
-    ca = amplitudes_from_spectrum(sd_cert, grid_c, require_band_limited=1.0 / 200.0)
-    assert ca.alpha.size == grid_c.wavenumbers.size
+    # band certificate (the CLI's 1 - band fraction <= eps_band); the
+    # certified waveform passes it, and both give amplitudes
+    for sig, kappa, certified in ((dyn_signal, 1.5e-3, False), (cert_signal, 1.0 / 200.0, True)):
+        sd = spectrum(sig, band_limit=1.0)
+        leakage = 1.0 - sd.band_energy_fraction(-kappa, sd.band_limit + kappa)
+        assert (leakage <= sd.eps_band) == certified
+        grid = ModeGrid.for_signal(sig)
+        assert amplitudes_from_spectrum(sd, grid).alpha.size == grid.wavenumbers.size

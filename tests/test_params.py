@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from superosc import QUARTER, THREE_QUARTER, SuperoscParams, WindowSpec, locked_delta
+from superosc import (QUARTER, THREE_QUARTER, ModeGrid, SuperoscParams, TwoLevelParticle,
+                      WindowSpec, locked_delta)
 from superosc.errors import PhaseLockViolation
 
 
@@ -28,6 +29,27 @@ def test_defaults_valid():
 def test_invalid_knobs_rejected(kwargs):
     with pytest.raises(ValueError):
         SuperoscParams(**{"extent": 0.5, **kwargs})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [
+    lambda v: SuperoscParams(delta=0.3, extent=0.05, amplitude=v),
+    lambda v: SuperoscParams(delta=v, extent=0.05),
+    lambda v: SuperoscParams(delta=0.3, extent=0.05, boost=v),
+    lambda v: SuperoscParams(delta=0.3, extent=0.05, band_limit=v),
+    lambda v: SuperoscParams(delta=0.3, extent=v),
+    lambda v: SuperoscParams(delta=0.3, extent=0.05, window_criterion=v),
+    lambda v: SuperoscParams(delta=0.3, extent=0.05, inv_sq_delta=v),
+    lambda v: TwoLevelParticle(gap_frequency=v),
+    lambda v: TwoLevelParticle(gap_frequency=2.0, coupling=v),
+    lambda v: TwoLevelParticle(gap_frequency=2.0, detector_z=v),
+    lambda v: WindowSpec(half_width=v),
+    lambda v: ModeGrid(10.0, 3, uv_cutoff=v),
+], ids=["amplitude", "delta", "boost", "band_limit", "extent", "window_criterion",
+        "inv_sq_delta", "gap_frequency", "coupling", "detector_z", "half_width", "uv_cutoff"])
+def test_non_finite_knobs_rejected(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 def test_window_criterion_enforced():

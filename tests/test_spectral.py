@@ -67,7 +67,7 @@ def test_dyn_spectrum_builds_no_k_array(dyn_signal):
     sd = spectrum(dyn_signal, band_limit=1.0)
     amplitudes_from_spectrum(sd, ModeGrid.for_signal(dyn_signal))
     parseval_residual(dyn_signal, sd)
-    sd.leakage(0.005)
+    sd.band_energy_fraction(-0.005, sd.band_limit + 0.005)
     assert "k" not in vars(sd)
 
 
@@ -75,7 +75,7 @@ def test_certificate_band_confinement(cert_spectrum):
     kappa = 1.0 / 200.0
     frac = cert_spectrum.band_energy_fraction(-kappa, 1.0 + kappa)
     assert frac >= 0.9999
-    assert cert_spectrum.is_band_limited(kappa)
+    assert 1.0 - frac <= cert_spectrum.eps_band
 
 
 def _masked_band_fraction(sd, k_lo, k_hi):
@@ -112,7 +112,7 @@ def test_window_blur_leakage_small():
     vals = np.exp(0.5j * z) * np.exp(-0.5 * (kappa * z) ** 2)
     s = SampledSignal(z_min=z[0], dz=dz, values=vals, k_max=2.0)
     sd = spectrum(s, band_limit=1.0)
-    assert sd.leakage(kappa) <= 1e-4
+    assert 1.0 - sd.band_energy_fraction(-kappa, sd.band_limit + kappa) <= 1e-4
 
 
 # ------------------------------------------------- box transform origin ----

@@ -8,9 +8,10 @@ from superosc import (
     SuperoscParams,
     WindowSpec,
     combine_pair,
+    component_log,
+    growth_region,
     make_real_superosc,
     sample_component,
-    synth_asymptotic,
     synth_bessel,
     synth_integral,
 )
@@ -28,6 +29,7 @@ from superosc.cli import _grid_from, _pair_from, _window_from
 
 from conftest import (MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of,
                       regime)
+from oracles import radicand, synth_asymptotic
 
 # Frozen closed-form oracle values (mpmath, 30 digits):
 #   J0(4)                                  = -0.397149809863847372...
@@ -275,8 +277,6 @@ def test_asymptotic_zero_boost_degenerates_smoothly():
     val = synth_asymptotic(p, -1.0)
     assert np.isfinite(val)
     # radicand collapses to a perfect square (1 + delta^2 k0 |z| / 2)^2
-    from superosc import radicand
-
     assert radicand(p, -1.0) == pytest.approx((1.0 + 0.01 / 2.0) ** 2, rel=1e-12)
 
 
@@ -444,8 +444,6 @@ def _all_points_component_log(p, z):
     """Reference: both Bessel branches on every point, merged by np.where."""
     from scipy.special import i0e, j0
 
-    from superosc.synthesis import radicand
-
     z = np.asarray(z, dtype=float)
     rad = radicand(p, z)
     if p.amplitude == 0.0:
@@ -524,6 +522,86 @@ def test_masked_bessel_scalar_and_0d_input():
         logmag, unit = component_log(p, np.asarray(z))
         assert logmag.shape == () and unit.shape == ()
         assert np.array_equal(logmag, ref_logmag) and np.array_equal(unit, ref_unit)
+
+
+# ------------------------------------------- 40-digit component_log ----
+# Reference F(z) = A sqrt(pi)/(sqrt(2) delta) e^{i z k0/2} J0(x), x = sqrt(rad)/delta^2,
+# with I0(x), x = sqrt(-rad)/delta^2, inside the growth region; mpmath at 40
+# digits on the stored knobs.  Tolerances are about 3x the worst case measured
+# for the current route: near the growth edges rad cancels to ~1e-9, and near
+# J0 zeros the error is measured against the envelope pref * min(1, sqrt(2/(pi x))).
+
+_CL_REGIMES = {
+    # name: (params, growth-edge relative tolerance, J0-zero envelope tolerance)
+    "delta0.3": (SuperoscParams(delta=0.3, boost=1.0, extent=0.05), 1e-13, 2e-14),
+    "delta0.05": (SuperoscParams(delta=0.05, boost=1.0, extent=0.01), 2e-10, 2e-11),
+    "cert": (SuperoscParams.phase_locked(40, QUARTER, boost=math.acosh(3.0), extent=1e-3),
+             2e-10, 1e-11),
+}
+
+
+def _component_reference(p, z):
+    """(F, prefactor, Bessel argument) at z, 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        zz, inv2, k0 = mpmath.mpf(z), mpmath.mpf(p.inv_sq_delta), mpmath.mpf(p.band_limit)
+        u = zz * k0 / inv2
+        rad = 1 - u * mpmath.cosh(mpmath.mpf(p.boost)) + u**2 / 4
+        pref = mpmath.mpf(p.amplitude) * mpmath.sqrt(mpmath.pi) / (mpmath.sqrt(2)
+                                                                    * mpmath.mpf(p.delta))
+        x = inv2 * mpmath.sqrt(abs(rad))
+        bessel = mpmath.besselj(0, x) if rad >= 0 else mpmath.besseli(0, x)
+        return pref * mpmath.expj(zz * k0 / 2) * bessel, pref, x
+
+
+def _component_value(p, z):
+    logmag, unit = component_log(p, np.array([z]))
+    return complex(unit[0]) * math.exp(logmag[0])
+
+
+@pytest.mark.parametrize("regime_name", list(_CL_REGIMES))
+def test_component_log_matches_mpmath_at_growth_edges(regime_name):
+    p, edge_tol, _ = _CL_REGIMES[regime_name]
+    for edge in growth_region(p):
+        for rel in (-1e-9, 0.0, 1e-9):
+            z = edge * (1.0 + rel)
+            ref = complex(_component_reference(p, z)[0])
+            assert abs(_component_value(p, z) - ref) <= edge_tol * abs(ref), (z, rel)
+
+
+@pytest.mark.parametrize("regime_name", list(_CL_REGIMES))
+def test_component_log_matches_mpmath_near_j0_zeros(regime_name):
+    # every fifth J0 zero with x up to 4 / delta^2, on the branch through z = 0:
+    # x below 1/delta^2 lies at 0 < z < z_lo, above it at z < 0
+    from scipy.special import jn_zeros
+
+    p, _, zero_tol = _CL_REGIMES[regime_name]
+    cosh_a = math.cosh(p.boost)
+    zeros = jn_zeros(0, int(4.0 * p.inv_sq_delta / math.pi))[::5]
+    zs = [2.0 * (cosh_a - math.sqrt(cosh_a**2 - 1.0 + (j / p.inv_sq_delta) ** 2))
+          * p.inv_sq_delta / p.band_limit for j in zeros]
+    assert min(zs) < 0.0 < max(zs)
+    for z0 in zs:
+        for z in (z0 * (1.0 - 1e-7), z0, z0 * (1.0 + 1e-7)):
+            ref, pref, x = _component_reference(p, z)
+            envelope = float(pref) * min(1.0, math.sqrt(2.0 / (math.pi * float(x))))
+            assert abs(_component_value(p, z) - complex(ref)) <= zero_tol * envelope, z
+
+
+def test_component_log_matches_mpmath_at_cert_growth_peak():
+    # logmag ~ 711.87 overflows a double: compare log-magnitude and phase
+    import mpmath
+
+    p = _CL_REGIMES["cert"][0]
+    for z in (p.growth_peak_z * (1.0 - 1e-3), p.growth_peak_z, p.growth_peak_z * (1.0 + 1e-3)):
+        logmag, unit = component_log(p, np.array([z]))
+        ref = _component_reference(p, z)[0]
+        with mpmath.workdps(40):
+            log_ref, unit_ref = float(mpmath.log(abs(ref))), complex(ref / abs(ref))
+        assert logmag[0] == pytest.approx(711.87, abs=0.01)
+        assert abs(logmag[0] - log_ref) <= 1e-13
+        assert abs(complex(unit[0]) - unit_ref) <= 1e-13
 
 
 # ------------------------------------------------------ pipeline grids ----
