@@ -39,7 +39,6 @@ from .synthesis import (
     PairSynthesizer,
     combine_pair,
     component_log,
-    growth_region,
     make_real_superosc,
     sample_component,
     synth_bessel,

@@ -478,7 +478,7 @@ def run_transition(conf: dict) -> RunRecord:
     curve = probability_curve(sig, particle, times, label="transition")
     fit = fit_exponent(curve, (t_lo, t_hi))
     amp = matched_sine_amplitude(sig, gap, -pair.extent, 0.0)
-    mono = monochromatic_reference(gap, amp, times, particle.coupling)
+    mono = monochromatic_reference(amp, times, particle.coupling)
     equiv_sel = times >= 10.0 * 2.0 * math.pi / gap
     equiv = np.abs(curve.values[equiv_sel] / mono[equiv_sel] - 1.0)
     payload = {

@@ -129,7 +129,7 @@ def _local_spline(s: SampledSignal, z_lo: float, z_hi: float) -> CubicSpline:
     """Cubic spline through the samples covering [z_lo, z_hi], plus the margin."""
     i_lo = max(0, math.floor((z_lo - s.z_min) / s.dz) - SPLINE_MARGIN)
     i_hi = min(s.n, math.ceil((z_hi - s.z_min) / s.dz) + SPLINE_MARGIN + 1)
-    return CubicSpline(s.z[i_lo:i_hi], s.values[i_lo:i_hi])
+    return CubicSpline(s.z_slice(i_lo, i_hi), s.values[i_lo:i_hi])
 
 
 def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> np.ndarray:
@@ -176,11 +176,11 @@ def probability_curve(s: SampledSignal, particle: TwoLevelParticle, times,
                             coupling=particle.coupling, label=label or s.label)
 
 
-def monochromatic_reference(gap_frequency: float, amplitude: float, t,
-                            coupling: float = 1.0):
+def monochromatic_reference(amplitude: float, t, coupling: float = 1.0):
     """Resonant closed form g^2 amplitude^2 t^2 / 4 for F = amplitude*sin(Omega z).
 
-    ``t`` is a time or an array of times.
+    ``t`` is a time or an array of times.  At resonance the result does not
+    depend on Omega.
     """
     if np.any(np.asarray(t) < 0.0):
         raise DomainError("t must be >= 0")
@@ -194,11 +194,11 @@ def matched_sine_amplitude(s: SampledSignal, wavenumber: float,
     The constant relating the window-interior waveform to the reference sine
     is extracted from the samples, not assumed.
     """
-    sel = (s.z >= z_lo) & (s.z <= z_hi)
-    if sel.sum() < 8:
+    i_lo, i_hi = s.index_range(z_lo, z_hi)
+    if i_hi - i_lo < 8:
         raise InsufficientData("fewer than 8 samples in the fit window")
-    zw = s.z[sel]
-    gw = np.real(s.values[sel])
+    zw = s.z_slice(i_lo, i_hi)
+    gw = np.real(s.values[i_lo:i_hi])
     basis = np.column_stack([np.sin(wavenumber * zw), np.cos(wavenumber * zw)])
     coeff, *_ = np.linalg.lstsq(basis, gw, rcond=None)
     return float(np.hypot(*coeff))
@@ -214,7 +214,12 @@ class ExponentFit:
 
 
 def fit_exponent(curve: ProbabilityCurve, window: tuple[float, float]) -> ExponentFit:
-    """Least-squares line in (log t, log P) over the window."""
+    """Least-squares line in (log t, log P) over the window.
+
+    The closed form about the means: slope = sum(dx dy) / sum(dx^2) with
+    dx = log t - mean(log t) and dy = log P - mean(log P), and the line
+    passes through the means.
+    """
     t_lo, t_hi = window
     sel = (curve.times >= t_lo) & (curve.times <= t_hi)
     if sel.sum() < 10:
@@ -223,7 +228,10 @@ def fit_exponent(curve: ProbabilityCurve, window: tuple[float, float]) -> Expone
         raise InsufficientData("non-positive probabilities in the fit window")
     logt = np.log(curve.times[sel])
     logp = np.log(curve.values[sel])
-    slope, intercept = np.polyfit(logt, logp, 1)
+    mean_logt, mean_logp = logt.mean(), logp.mean()
+    dx = logt - mean_logt
+    slope = (dx @ (logp - mean_logp)) / (dx @ dx)
+    intercept = mean_logp - slope * mean_logt
     resid = logp - (slope * logt + intercept)
     return ExponentFit(
         exponent=float(slope),

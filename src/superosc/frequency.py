@@ -26,11 +26,10 @@ from .signal import SampledSignal
 def zero_crossings(s: SampledSignal) -> np.ndarray:
     """Positions of sign changes of a real signal, linearly interpolated."""
     v = np.real(s.values)
-    z = s.z
     sgn = np.sign(v)
     flip = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    pos = z[flip] - v[flip] * s.dz / (v[flip + 1] - v[flip])
-    exact = z[np.where(v == 0.0)[0]]
+    pos = (s.z_min + s.dz * flip) - v[flip] * s.dz / (v[flip + 1] - v[flip])
+    exact = s.z_min + s.dz * np.where(v == 0.0)[0]
     return np.unique(np.concatenate([pos, exact]))
 
 
@@ -45,13 +44,13 @@ def frequency_profile(s: SampledSignal, z_lo: float | None = None,
             crossings = crossings[crossings <= z_hi]
         mids = 0.5 * (crossings[:-1] + crossings[1:])
         return mids, np.pi / np.diff(crossings)
-    z = s.z
     # interior samples only (the grid ends have no central difference); an
     # empty window leaves an empty slice
-    lo = 1 if z_lo is None else max(1, int(np.searchsorted(z, z_lo, side="left")))
-    hi = s.n - 2 if z_hi is None else min(s.n - 2, int(np.searchsorted(z, z_hi, side="right")) - 1)
+    i_lo, i_hi = s.index_range(-np.inf if z_lo is None else z_lo,
+                               np.inf if z_hi is None else z_hi)
+    lo, hi = max(1, i_lo), min(s.n - 2, i_hi - 1)
     phase = np.unwrap(np.angle(s.values[lo - 1:hi + 2]))
-    return z[lo:hi + 1].copy(), (phase[2:] - phase[:-2]) / (2.0 * s.dz)
+    return s.z_slice(lo, hi + 1), (phase[2:] - phase[:-2]) / (2.0 * s.dz)
 
 
 def window_frequency(s: SampledSignal, z_lo: float, z_hi: float) -> float:

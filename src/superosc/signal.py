@@ -3,12 +3,20 @@
 The grid is the half-open box [z_min, z_min + n*dz): its length n*dz is what
 discrete Fourier analysis treats as the periodic box, so spectral spacing is
 exactly 2*pi/(n*dz).
+
+A signal stores its box (z_min, dz and the sample count), not the sample
+positions: ``z`` is built from z[i] = z_min + dz * i on first use only.
+Readers of a window take its index range from ``index_range``, which bisects
+that formula with the comparisons of the mask z_lo <= z <= z_hi and so
+selects the same samples, and build only those positions with ``z_slice``.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +33,6 @@ class SampledSignal:
     values: np.ndarray
     k_max: float
     label: str = ""
-    _z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -43,20 +50,40 @@ class SampledSignal:
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite samples")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_z", self.z_min + self.dz * np.arange(vals.size))
 
     @property
     def n(self) -> int:
         return self.values.size
 
-    @property
+    @functools.cached_property
     def z(self) -> np.ndarray:
-        return self._z
+        return self.z_slice(0, self.n)
+
+    def z_at(self, i: int) -> float:
+        """z[i] without building ``z``: the grid's own arithmetic, bit for bit."""
+        return self.z_min + self.dz * i
+
+    def z_slice(self, i_lo: int, i_hi: int) -> np.ndarray:
+        """z[i_lo:i_hi] without building ``z``, bit for bit."""
+        return self.z_min + self.dz * np.arange(i_lo, i_hi)
+
+    def index_range(self, z_lo: float, z_hi: float) -> tuple[int, int]:
+        """(i_lo, i_hi), i_lo <= i_hi, such that z[i_lo:i_hi] is z[(z >= z_lo) & (z <= z_hi)].
+
+        The samples inside [z_lo, z_hi] are one contiguous run, found by
+        bisecting the monotone ``z_at``; a NaN bound, like z_lo > z_hi,
+        selects none.
+        """
+        if not z_lo <= z_hi:
+            return 0, 0
+        idx = range(self.n)
+        return (bisect.bisect_left(idx, z_lo, key=self.z_at),
+                bisect.bisect_right(idx, z_hi, key=self.z_at))
 
     @property
     def z_max(self) -> float:
         """Last sample position (the box extends one dz further)."""
-        return self.z_min + (self.n - 1) * self.dz
+        return self.z_at(self.n - 1)
 
     @property
     def box_length(self) -> float:

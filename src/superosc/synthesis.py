@@ -28,37 +28,51 @@ peak = max(l1, l2), A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
 This is the complex formula u1 e^(l1 - peak) + u2 e^(l2 - peak) rearranged:
 multiplying by s1, s2 or branch only flips a sign, and each cross term of
 the complex products was a product with an exact zero, so every nonzero
-part rounds identically.  ``sample_real`` computes only the imaginary part.
-``sample`` finishes with numpy's complex-by-real product, as the complex
-formula did, and ``sample_real`` gives an exact zero the sign that product
-gives it (-0 only where both parts of the sum are negative), so signed zeros
-in underflowed tails match too.  The uncached ``PairSynthesizer.__call__``
-runs the same combine on ``_bessel_kernel`` arrays.
+part rounds identically.
 
-Caching: the waveform is linear in its amplitude, and the amplitude enters
-the log-magnitude only as the additive constant log_pref and the sign only
-as its sign.  So on a regular grid z_min + dz * arange(n) the costly parts
-are the same for every amplitude, and three bounded LRU caches hold them as
+Amplitude factored out: the waveform is linear in its amplitude a, which
+enters each log-magnitude only as the additive constant log|a| and each
+sign only as its sign.  So l1, l2, peak, A and B are taken at unit |a|
+(l_i = (log(sqrt(pi)/(sqrt(2) delta_i)) + base_i) + extra_i, plus the
+window's log-profile), and log|a| is added to the peak alone: the pair is
+(re + i im) e^(peak + log|a|), with re = cos A - sin B and im = sin A + cos B
+fixed for every amplitude.  At |a| = 1 this is the formula above bit for
+bit; otherwise log|a| is added once instead of inside each l_i, which moves
+a sample by a few units in the last place of its exponent, at most 2.3e-13
+of the envelope e^peak on the certificate grid and 1.1e-14 on the dyn grids.
+``sample`` finishes with numpy's complex-by-real product (re + i im) *
+e^(peak + log|a|), and ``sample_real`` computes only its imaginary part,
+giving an exact zero the sign that product gives it (-0 only where re and
+im are both negative), so signed zeros in underflowed tails match too.
+
+Caching: on a regular grid z_min + dz * arange(n) everything but log|a| is
+the same for every amplitude, and four bounded LRU caches hold it as
 read-only, full-length arrays (memory per entry at n = 2^16):
 
+* ``_unit_pair``, keyed by the pair without |a| -- each component's
+  (delta, inv_sq_delta, sign of a), boost, band_limit, branch, the window's
+  half_width (0 for none) and the grid (z_min, dz, n) -- maxsize 4,
+  1.5 MiB: the unit-amplitude ``peak``, its maximum ``top``, and re + i im
+  as one complex array.  An op on a warm entry is one overflow check
+  (log|a| + top against LOG_DOUBLE_MAX), one exp and one product per sample;
 * ``_bessel_branches``, keyed by (inv_sq_delta, boost, band_limit, z_min,
   dz, n), maxsize 8, 1.06 MiB: ``base`` (log|j0| on oscillatory points, xi
   on growth points), ``extra`` (0 on oscillatory points, log i0e(xi) on
   growth points) and the int8 ``sign`` of the Bessel factor.  Then
-  logmag = (log_pref + base) + extra, the order of additions of the
-  uncached route, with no boolean scatter per call.  It wraps
+  logmag = (log_pref + base) + extra, the order of additions of
+  ``component_log``, with no boolean scatter per call.  It wraps
   ``_bessel_kernel``, the kernel ``component_log`` runs uncached on
   arbitrary points;
 * ``_grid_carrier``, keyed by (band_limit, z_min, dz, n), maxsize 4,
   1 MiB: cos and sin of z k0/2 as contiguous arrays, copied from the same
-  np.exp(0.5j z k0) as the uncached route (np.cos and np.sin need not round
+  np.exp(0.5j z k0) as ``component_log`` (np.cos and np.sin need not round
   the same way);
 * ``_grid_log_window``, keyed by (half_width, z_min, dz, n), maxsize 4,
   0.5 MiB: the window's log-profile, which does not depend on the amplitude.
 
-``PairSynthesizer.sample``, ``sample_real`` and ``sample_component`` go
-through the caches, so their samples are bit-for-bit those of the uncached
-route.
+``_unit_pair`` is built from the other three.  ``sample_component`` goes
+through the last three, so its samples are bit-for-bit those of
+``component_log`` on the same points.
 
 Contour shift: the circle integrand's modulus varies as
 exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
@@ -118,15 +132,6 @@ def _radicand(inv_sq_delta: float, boost: float, band_limit: float, z):
     """1 - delta^2 z k0 cosh A + delta^4 z^2 k0^2 / 4 (negative in the growth region)."""
     u = z * band_limit / inv_sq_delta
     return 1.0 - u * math.cosh(boost) + 0.25 * u**2
-
-
-def growth_region(p: SuperoscParams) -> tuple[float, float]:
-    """(z_lo, z_hi) between which the radicand is negative; empty at boost 0."""
-    if p.boost == 0.0:
-        zp = 2.0 * p.inv_sq_delta / p.band_limit
-        return (zp, zp)
-    s = 2.0 * p.inv_sq_delta / p.band_limit
-    return (s * math.exp(-p.boost), s * math.exp(p.boost))
 
 
 class _Branches(NamedTuple):
@@ -203,42 +208,80 @@ def _grid_log_window(half_width: float, z_min: float, dz: float, n: int) -> np.n
     return logh
 
 
-def _branches(p: SuperoscParams, z, grid: tuple | None) -> _Branches:
-    """One component's Bessel branches on z.
-
-    ``grid`` is (z_min, dz, n) when z is that grid (z may then be None); its
-    branches then come from the cache.
-    """
-    if grid is None:
-        return _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
-    return _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
-
-
-def _carrier(band_limit: float, z, grid: tuple | None):
-    """(cos, sin) of z k0/2; ``grid`` as in ``_branches``."""
-    if grid is None:
-        carrier = np.exp(0.5j * z * band_limit)
-        return carrier.real, carrier.imag
-    return _grid_carrier(band_limit, *grid)
-
-
-def _logmag(p: SuperoscParams, b: _Branches) -> np.ndarray:
-    """log|component| as a new array: (log_pref + base) + extra.  p.amplitude must be nonzero."""
-    logmag = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta)) + b.base
+def _logmag(magnitude: float, delta: float, b: _Branches) -> np.ndarray:
+    """log|component| at |amplitude| = magnitude > 0, as a new array: (log_pref + base) + extra."""
+    logmag = math.log(magnitude * math.sqrt(math.pi) / (math.sqrt(2.0) * delta)) + b.base
     logmag += b.extra
     return logmag
 
 
+class _UnitPair(NamedTuple):
+    """F1 + branch * i * F2 at unit |amplitude| on a grid: ``unit`` * e^``peak``."""
+
+    peak: np.ndarray  # max(l1, l2), 0 where both are -inf
+    top: float        # the largest peak before that substitution
+    unit: np.ndarray  # (cos A - sin B) + i (sin A + cos B)
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: int,
+               half_width: float, grid: tuple) -> _UnitPair:
+    """The pair's unit-amplitude combine on ``grid`` = (z_min, dz, n), cached read-only.
+
+    ``c1`` and ``c2`` are the components' (delta, inv_sq_delta, amplitude < 0);
+    half_width 0 is no window.  With signs s1, s2 in {-1, 0, 1},
+    F1 = s1 e^l1 (cos + i sin) and F2 = s2 e^l2 (cos + i sin); scaled by the
+    larger log-magnitude, the pair is ((cos A - sin B) + i (sin A + cos B)) e^peak
+    with A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
+    """
+    (delta1, inv_sq_delta1, negative1), (delta2, inv_sq_delta2, negative2) = c1, c2
+    b1 = _bessel_branches(inv_sq_delta1, boost, band_limit, *grid)
+    b2 = _bessel_branches(inv_sq_delta2, boost, band_limit, *grid)
+    l1 = _logmag(1.0, delta1, b1)
+    l2 = _logmag(1.0, delta2, b2)
+    if half_width != 0.0:
+        logh = _grid_log_window(half_width, *grid)
+        l1 += logh
+        l2 += logh
+    peak = np.maximum(l1, l2)
+    top = float(peak.max())
+    peak[np.isneginf(peak)] = 0.0
+    a = np.exp(np.subtract(l1, peak, out=l1), out=l1)
+    a *= b1.sign
+    if negative1:
+        np.negative(a, out=a)
+    b = np.exp(np.subtract(l2, peak, out=l2), out=l2)
+    b *= b2.sign
+    if negative2 != (branch < 0):
+        np.negative(b, out=b)
+    cos, sin = _grid_carrier(band_limit, *grid)
+    unit = np.empty(peak.shape, dtype=complex)
+    re, im = unit.real, unit.imag
+    np.multiply(cos, a, out=re)
+    re -= sin * b
+    np.multiply(sin, a, out=im)
+    im += cos * b
+    _read_only(peak, unit)
+    return _UnitPair(peak, top, unit)
+
+
 def _component_log(p: SuperoscParams, z, grid: tuple | None = None):
+    """``component_log`` on z, from the caches when z is the grid ``grid`` = (z_min, dz, n)."""
     if p.amplitude == 0.0:
         return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    b = _branches(p, z, grid)
+    if grid is None:
+        b = _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
+        carrier = np.exp(0.5j * z * p.band_limit)
+        cos, sin = carrier.real, carrier.imag
+    else:
+        b = _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
+        cos, sin = _grid_carrier(p.band_limit, *grid)
     sign = b.sign.astype(float)
     if p.amplitude < 0.0:
         sign = -sign
     carrier = np.empty(sign.shape, dtype=complex)
-    carrier.real, carrier.imag = _carrier(p.band_limit, z, grid)
-    return _logmag(p, b), sign * carrier
+    carrier.real, carrier.imag = cos, sin
+    return _logmag(abs(p.amplitude), p.delta, b), sign * carrier
 
 
 def component_log(p: SuperoscParams, z):
@@ -398,73 +441,45 @@ class PairSynthesizer:
     def extent(self) -> float:
         return self.p1.extent
 
-    def _combine(self, z, window: WindowSpec | None = None, grid: tuple | None = None,
-                 imag_only: bool = False) -> np.ndarray:
-        """F1 + branch * i * F2 on z, or only its imaginary part; ``grid`` as in ``_branches``.
+    def _unit(self, window: WindowSpec | None, grid: tuple) -> _UnitPair:
+        """The pair's cached unit-amplitude combine on ``grid`` = (z_min, dz, n)."""
+        p1, p2 = self.p1, self.p2
+        # combine_pair guarantees a shared boost and band limit
+        return _unit_pair((p1.delta, p1.inv_sq_delta, p1.amplitude < 0.0),
+                          (p2.delta, p2.inv_sq_delta, p2.amplitude < 0.0),
+                          p1.boost, p1.band_limit, self.branch,
+                          0.0 if window is None else window.half_width, grid)
 
-        With signs s1, s2 in {-1, 0, 1}, F1 = s1 e^l1 (cos + i sin) and
-        F2 = s2 e^l2 (cos + i sin).  Scaled by the larger log-magnitude, the
-        pair is ((cos A - sin B) + i (sin A + cos B)) e^peak with
-        A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
+    def _combine(self, window: WindowSpec | None, grid: tuple,
+                 imag_only: bool = False) -> np.ndarray:
+        """F1 + branch * i * F2 on ``grid`` = (z_min, dz, n), or only its imaginary part.
+
+        The cached unit-amplitude combine times e^(peak + log|amplitude|).
         """
-        shape = z.shape if grid is None else (grid[2],)
         if self.p1.amplitude == 0.0:
             # combine_pair guarantees a shared amplitude magnitude: exact +0 samples
-            return np.zeros(shape, dtype=float if imag_only else complex)
-        b1 = _branches(self.p1, z, grid)
-        b2 = _branches(self.p2, z, grid)
-        l1 = _logmag(self.p1, b1)
-        l2 = _logmag(self.p2, b2)
-        if window is not None and not window.is_identity:
-            logh = (window.log_profile(z) if grid is None
-                    else _grid_log_window(window.half_width, *grid))
-            l1 += logh
-            l2 += logh
-        peak = np.maximum(l1, l2)
-        top = peak.max()
-        if top > LOG_DOUBLE_MAX:
+            return np.zeros(grid[2], dtype=float if imag_only else complex)
+        u = self._unit(window, grid)
+        log_amplitude = math.log(abs(self.p1.amplitude))
+        if log_amplitude + u.top > LOG_DOUBLE_MAX:
             raise OverflowRegime(
-                f"combined magnitude reaches e^{top:.0f}; apply a window or "
+                f"combined magnitude reaches e^{log_amplitude + u.top:.0f}; apply a window or "
                 "restrict the grid to the representable range"
             )
-        peak[np.isneginf(peak)] = 0.0
-        a = np.exp(np.subtract(l1, peak, out=l1), out=l1)
-        a *= b1.sign
-        if self.p1.amplitude < 0.0:
-            np.negative(a, out=a)
-        b = np.exp(np.subtract(l2, peak, out=l2), out=l2)
-        b *= b2.sign
-        if (self.p2.amplitude < 0.0) != (self.branch < 0):
-            np.negative(b, out=b)
-        scale = np.exp(peak, out=peak)
-        # combine_pair guarantees a shared band limit, hence one carrier.
-        cos, sin = _carrier(self.p1.band_limit, z, grid)
-        imag = sin * a
-        imag += cos * b
+        scale = np.add(u.peak, log_amplitude)
+        np.exp(scale, out=scale)
         if not imag_only:
-            out = np.empty(shape, dtype=complex)
-            out.imag = imag
-            re = out.real
-            np.multiply(cos, a, out=re)
-            re -= sin * b
-            # numpy's complex-by-real product, as in the complex route, so
-            # that underflowed samples keep their signed zeros
-            out *= scale
-            return out
-        imag *= scale
-        # The complex product takes Re(sum)*0 + Im(sum)*e^peak as its
-        # imaginary part: an exact zero there is -0 only where both parts
-        # of the sum are negative.
+            # numpy's complex-by-real product, so that underflowed samples
+            # keep their signed zeros
+            return u.unit * scale
+        imag = np.multiply(u.unit.imag, scale, out=scale)
+        # The complex product takes re*0 + im*e^peak as its imaginary part:
+        # an exact zero there is -0 only where both re and im are negative.
         zero = np.flatnonzero(imag == 0.0)
         if zero.size:
-            real = cos[zero] * a[zero] - sin[zero] * b[zero]
-            imag[zero] = np.where(np.signbit(real) & np.signbit(imag[zero]), -0.0, 0.0)
+            imag[zero] = np.where(np.signbit(u.unit.real[zero]) & np.signbit(imag[zero]),
+                                  -0.0, 0.0)
         return imag
-
-    def __call__(self, z, window: WindowSpec | None = None):
-        scalar = np.isscalar(z)
-        vals = self._combine(np.atleast_1d(np.asarray(z, dtype=float)), window)
-        return complex(vals[0]) if scalar else vals
 
     def sample(
         self,
@@ -474,7 +489,7 @@ class PairSynthesizer:
         window: WindowSpec | None = None,
         label: str = "",
     ) -> SampledSignal:
-        vals = self._combine(None, window, (z_min, dz, n))
+        vals = self._combine(window, (z_min, dz, n))
         return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
     def sample_real(
@@ -486,7 +501,7 @@ class PairSynthesizer:
         label: str = "",
     ) -> SampledSignal:
         """Imaginary part of the combination: ~ amplitude*sin(k' z) in-window."""
-        vals = self._combine(None, window, (z_min, dz, n), imag_only=True)
+        vals = self._combine(window, (z_min, dz, n), imag_only=True)
         return SampledSignal(z_min=z_min, dz=dz, values=vals, k_max=self.k_max, label=label)
 
 

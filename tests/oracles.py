@@ -5,23 +5,114 @@ computes another way:
 
 * ``radicand`` and ``synth_asymptotic`` -- the large-argument cosine
   approximation of one component, against ``synth_bessel``;
+* ``all_points_component_log`` -- one component with both Bessel branches
+  evaluated on every point and merged by ``np.where``, against the masked
+  ``component_log``;
+* ``all_points_pair`` -- the pair combined in complex arithmetic from
+  unit-amplitude log-magnitudes, log|a| added to the peak, against the real
+  combine of ``PairSynthesizer.sample`` and ``sample_real``;
+* ``in_log_pair`` -- the pair with log|a| inside each log-magnitude, the
+  formula the factored combine replaced, which bounds its rounding;
 * ``mode_sum_B`` -- the field expectation as a direct sum over modes at
   arbitrary z, against the inverse FFT of ``expectation_B``.
+
+``growth_region`` only picks test points.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+from scipy.special import i0e, j0
 
 from superosc import SuperoscParams
-from superosc.errors import DomainError
+from superosc.errors import DomainError, OverflowRegime
 from superosc.field import CoherentAmplitudes
-from superosc.synthesis import _radicand
+from superosc.synthesis import LOG_DOUBLE_MAX, _radicand
 
 
 def radicand(p: SuperoscParams, z):
     """1 - delta^2 z k0 cosh A + delta^4 z^2 k0^2 / 4 (negative in the growth region)."""
     return _radicand(p.inv_sq_delta, p.boost, p.band_limit, np.asarray(z, dtype=float))
+
+
+def growth_region(p: SuperoscParams) -> tuple[float, float]:
+    """(z_lo, z_hi) between which the radicand is negative; empty at boost 0."""
+    if p.boost == 0.0:
+        zp = 2.0 * p.inv_sq_delta / p.band_limit
+        return (zp, zp)
+    s = 2.0 * p.inv_sq_delta / p.band_limit
+    return (s * math.exp(-p.boost), s * math.exp(p.boost))
+
+
+def all_points_component_log(p: SuperoscParams, z):
+    """(log-magnitude, unit factor) of one component, both Bessel branches on every point."""
+    z = np.asarray(z, dtype=float)
+    rad = radicand(p, z)
+    if p.amplitude == 0.0:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
+    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
+    oscillatory = rad >= 0.0
+    jval = j0(p.inv_sq_delta * np.sqrt(np.maximum(rad, 0.0)))
+    xi = p.inv_sq_delta * np.sqrt(np.maximum(-rad, 0.0))
+    with np.errstate(divide="ignore"):
+        logmag = np.where(oscillatory, log_pref + np.log(np.abs(jval)),
+                          log_pref + xi + np.log(i0e(xi)))
+    sign = np.where(oscillatory, np.sign(jval), 1.0) * math.copysign(1.0, p.amplitude)
+    return logmag, sign * np.exp(0.5j * z * p.band_limit)
+
+
+def _pair_logs(p1: SuperoscParams, p2: SuperoscParams, branch: int, z, window):
+    """(l1, u1, l2, u2) of F1 + branch * i * F2 on z, window included."""
+    l1, u1 = all_points_component_log(p1, z)
+    l2, u2 = all_points_component_log(p2, z)
+    u2 = u2 * (1j * branch)
+    if window is not None:
+        logh = window.log_profile(z)
+        l1, l2 = l1 + logh, l2 + logh
+    return l1, u1, l2, u2
+
+
+def _peak(l1, l2, log_amplitude: float = 0.0):
+    """max(l1, l2), refused above LOG_DOUBLE_MAX after adding log_amplitude; -inf -> 0."""
+    peak = np.maximum(l1, l2)
+    if np.any(peak + log_amplitude > LOG_DOUBLE_MAX):
+        raise OverflowRegime(
+            f"combined magnitude reaches e^{peak.max() + log_amplitude:.0f}; apply a window or "
+            "restrict the grid to the representable range"
+        )
+    return np.where(np.isneginf(peak), 0.0, peak)
+
+
+def _unit_amplitude(p: SuperoscParams) -> SuperoscParams:
+    return dataclasses.replace(p, amplitude=math.copysign(1.0, p.amplitude))
+
+
+def all_points_pair(pair, z, window=None):
+    """F1 + branch * i * F2 = (u1 e^(l1 - peak) + u2 e^(l2 - peak)) e^(peak + log|a|).
+
+    l1, l2 and peak are taken at unit |a|; complex arithmetic throughout.
+    """
+    z = np.asarray(z, dtype=float)
+    if pair.p1.amplitude == 0.0:
+        return np.zeros(z.shape, dtype=complex)
+    l1, u1, l2, u2 = _pair_logs(_unit_amplitude(pair.p1), _unit_amplitude(pair.p2),
+                                pair.branch, z, window)
+    log_amplitude = math.log(abs(pair.p1.amplitude))
+    peak = _peak(l1, l2, log_amplitude)
+    return (u1 * np.exp(l1 - peak) + u2 * np.exp(l2 - peak)) * np.exp(peak + log_amplitude)
+
+
+def in_log_pair(pair, z, window=None):
+    """(values, envelope e^peak) of the pair with log|a| inside l1 and l2.
+
+    values = (u1 e^(l1 - peak) + u2 e^(l2 - peak)) e^peak, peak = max(l1, l2).
+    """
+    l1, u1, l2, u2 = _pair_logs(pair.p1, pair.p2, pair.branch, np.asarray(z, dtype=float),
+                                window)
+    peak = _peak(l1, l2)
+    envelope = np.exp(peak)
+    return (u1 * np.exp(l1 - peak) + u2 * np.exp(l2 - peak)) * envelope, envelope
 
 
 def synth_asymptotic(p: SuperoscParams, z):

@@ -136,7 +136,7 @@ def test_acceptance_6_monochromatic_equivalence(dyn_signal, dyn_pair):
     amp = matched_sine_amplitude(dyn_signal, gap, -dyn_pair.extent, 0.0)
     times = np.linspace(10.0 * 2.0 * math.pi / gap, dyn_pair.extent, 25)
     curve = probability_curve(dyn_signal, particle, times)
-    mono = np.array([monochromatic_reference(gap, amp, t) for t in times])
+    mono = np.array([monochromatic_reference(amp, t) for t in times])
     dev = float(np.max(np.abs(curve.values / mono - 1.0)))
     _gate(6, f"max |P_superosc/P_mono - 1| = {dev:.4f} <= 0.05", dev <= 0.05)
 

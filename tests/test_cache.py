@@ -1,6 +1,6 @@
 """The amplitude-independent caches of synthesis.
 
-Each cached sample must equal the uncached evaluation of the same points
+Each cached sample must equal the all-points reference on the same points
 exactly, whatever amplitude filled the cache first, and every cached array
 must be read-only so that no caller can corrupt the next one's result.
 """
@@ -11,12 +11,15 @@ import pytest
 from superosc import SuperoscParams, combine_pair, sample_component
 from superosc import synthesis
 from superosc.cli import _window_from
-from superosc.synthesis import component_log, growth_region
+from superosc.errors import OverflowRegime
+from superosc.synthesis import LOG_DOUBLE_MAX, component_log
 
 from conftest import MILD, MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
+from oracles import all_points_pair, growth_region, in_log_pair
 
 AMPLITUDES = (1e-4, 3e-3, -1.0, 0.0)
-SYNTH_CACHES = (synthesis._bessel_branches, synthesis._grid_carrier, synthesis._grid_log_window)
+SYNTH_CACHES = (synthesis._unit_pair, synthesis._bessel_branches, synthesis._grid_carrier,
+                synthesis._grid_log_window)
 
 
 def _clear():
@@ -48,11 +51,12 @@ def test_cached_pair_samples_equal_uncached(window):
             pair = mild_pair_of(amplitude)
             z_min, dz, n = _pair_grid(pair)
             z = z_min + dz * np.arange(n)
-            ref = pair(z, window)
+            ref = all_points_pair(pair, z, window)
             assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
             assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
                                   np.imag(ref))
-    assert synthesis._bessel_branches.cache_info().hits > 0
+    assert synthesis._unit_pair.cache_info().hits > 0
+    assert synthesis._bessel_branches.cache_info().hits > 0  # the negative amplitude's entry
 
 
 @pytest.mark.parametrize("window", [None, _window_from(MILD)])
@@ -100,7 +104,57 @@ def test_boost_ladder_on_one_grid_stays_exact_and_bounded():
         p1, p2 = SuperoscParams.locked_pair(2000, amplitude=1e-3, boost=float(boost),
                                             extent=10.0)
         pair = combine_pair(p1, p2, branch=+1)
-        assert np.array_equal(pair.sample(z_min, dz, n).values, pair(z))
+        assert np.array_equal(pair.sample(z_min, dz, n).values, all_points_pair(pair, z))
     for cache in SYNTH_CACHES:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_second_amplitude_hits_unit_pair_cache():
+    _clear()
+    grid = _pair_grid(mild_pair_of(1.0))
+    first = mild_pair_of(2e-3).sample_real(*grid, window=MILD_PAIR_WINDOW)
+    second = mild_pair_of(5e-4).sample_real(*grid, window=MILD_PAIR_WINDOW)
+    info = synthesis._unit_pair.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the waveform is linear in the amplitude, to rounding
+    assert np.abs(second.values - 0.25 * first.values).max() <= 1e-14 * np.abs(first.values).max()
+    entry = mild_pair_of(1.0)._unit(MILD_PAIR_WINDOW, grid)
+    assert synthesis._unit_pair.cache_info().hits == 2
+    assert entry.peak.shape == entry.unit.shape == (grid[2],)
+    assert entry.peak.flags.writeable is False and entry.unit.flags.writeable is False
+    # a sign, the branch and the window are part of the key
+    mild_pair_of(-2e-3).sample_real(*grid, window=MILD_PAIR_WINDOW)
+    p1, p2 = SuperoscParams.locked_pair(3, amplitude=2e-3, boost=1.0, extent=1.2)
+    combine_pair(p1, p2, branch=-1).sample_real(*grid, window=MILD_PAIR_WINDOW)
+    mild_pair_of(2e-3).sample_real(*grid)
+    assert synthesis._unit_pair.cache_info().misses == 4
+
+
+def test_overflow_threshold_unchanged():
+    # the unwindowed mild pair peaks at e^top; an amplitude that takes the
+    # peak just past LOG_DOUBLE_MAX is refused, as by the in-log formula
+    _clear()
+    grid = _pair_grid(mild_pair_of(1.0))
+    z = grid[0] + grid[1] * np.arange(grid[2])
+    top = mild_pair_of(1.0)._unit(None, grid).top
+    for excess, refused in ((-0.01, False), (0.01, True)):
+        pair = mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + excess)))
+        for values in (lambda: pair.sample(*grid).values, lambda: pair.sample_real(*grid).values,
+                       lambda: in_log_pair(pair, z)[0]):
+            if refused:
+                with pytest.raises(OverflowRegime):
+                    values()
+            else:
+                assert np.isfinite(values()).all()
+
+
+def test_zero_amplitude_gives_exact_positive_zeros():
+    _clear()
+    grid = _pair_grid(mild_pair_of(1.0))
+    mild_pair_of(1e-3).sample(*grid)  # a warm entry does not leak into amplitude 0
+    pair = mild_pair_of(0.0)
+    for values in (pair.sample(*grid).values, pair.sample_real(*grid).values):
+        assert np.array_equal(np.ascontiguousarray(values).view(np.int64),
+                              np.zeros(values.size * values.itemsize // 8, dtype=np.int64))
+    assert synthesis._unit_pair.cache_info().currsize == 1

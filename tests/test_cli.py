@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,31 @@ def test_traced_layers_all_resolve():
                           env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_import_rows_all_numeric():
+    # every -X importtime row perfbench/run.py reports must read as a number
+    # for a fresh `import superosc.cli`; a package no longer imported would
+    # read as a null metric
+    root = FIXTURES.parent
+    code = ("import json, subprocess, sys, run; "
+            "proc = subprocess.run([sys.executable, '-X', 'importtime', '-c', "
+            "'import superosc.cli'], cwd=run.ROOT, env=run.child_env(), "
+            "capture_output=True, text=True, check=True); "
+            "print(json.dumps({'packages': run.IMPORT_PACKAGES, "
+            "'rows': run.parse_importtime(proc.stderr)}))")
+    env = dict(os.environ, PYTHONPATH=str(root / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    rows = out["rows"]
+    assert out["packages"]
+    for pkg in out["packages"]:
+        for key in (f"import.{pkg.replace('.', '_')}_ms", f"import.{pkg.replace('.', '_')}_self_ms"):
+            assert isinstance(rows.get(key), float) and math.isfinite(rows[key]), key
+    for key in ("import.total_ms", "import.superosc_self_ms"):
+        assert isinstance(rows.get(key), float) and rows[key] > 0.0, key
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -46,13 +46,13 @@ def test_sine_full_period_closed_form():
 
 
 def test_monochromatic_reference_trivials():
-    assert monochromatic_reference(OMEGA, 1.0, 0.0) == 0.0
-    p1 = monochromatic_reference(OMEGA, 1.0, 7.0)
-    assert monochromatic_reference(OMEGA, 2.0, 7.0) == pytest.approx(4.0 * p1)
+    assert monochromatic_reference(1.0, 0.0) == 0.0
+    p1 = monochromatic_reference(1.0, 7.0)
+    assert monochromatic_reference(2.0, 7.0) == pytest.approx(4.0 * p1)
     times = np.array([0.0, 7.0])
-    assert np.array_equal(monochromatic_reference(OMEGA, 1.0, times), [0.0, p1])
+    assert np.array_equal(monochromatic_reference(1.0, times), [0.0, p1])
     with pytest.raises(DomainError):
-        monochromatic_reference(OMEGA, 1.0, np.array([7.0, -1.0]))
+        monochromatic_reference(1.0, np.array([7.0, -1.0]))
 
 
 def test_quadrature_matches_reference_closed_form():
@@ -60,7 +60,7 @@ def test_quadrature_matches_reference_closed_form():
     p = TwoLevelParticle(gap_frequency=OMEGA)
     t = 40.0 * math.pi / OMEGA  # Omega t = 40 pi
     quad = probability_curve(s, p, [t]).values[0]
-    ref = monochromatic_reference(OMEGA, 1.0, t)
+    ref = monochromatic_reference(1.0, t)
     assert abs(quad / ref - 1.0) < 1e-6
 
 
@@ -83,7 +83,7 @@ def test_superosc_matches_sine_reference(dyn_signal, dyn_particle, dyn_pair):
     t = dyn_pair.extent / 2.0
     amp = matched_sine_amplitude(dyn_signal, OMEGA, -dyn_pair.extent, 0.0)
     p_so = probability_curve(dyn_signal, dyn_particle, [t]).values[0]
-    p_ref = monochromatic_reference(OMEGA, amp, t)
+    p_ref = monochromatic_reference(amp, t)
     assert abs(p_so / p_ref - 1.0) < 0.05
 
 
@@ -108,6 +108,49 @@ def test_fit_exponent_requires_points():
                              gap_frequency=OMEGA, coupling=1.0)
     with pytest.raises(InsufficientData):
         fit_exponent(curve, (25.0, 30.0))
+
+
+def _polyfit_line(curve, window):
+    """(slope, intercept, residual rms) of numpy's general least-squares line fit."""
+    sel = (curve.times >= window[0]) & (curve.times <= window[1])
+    logt, logp = np.log(curve.times[sel]), np.log(curve.values[sel])
+    slope, intercept = np.polyfit(logt, logp, 1)
+    return slope, intercept, np.sqrt(np.mean((logp - (slope * logt + intercept)) ** 2))
+
+
+def _assert_fit_matches_polyfit(curve, window):
+    fit = fit_exponent(curve, window)
+    slope, intercept, rms = _polyfit_line(curve, window)
+    assert fit.exponent == pytest.approx(slope, rel=1e-12)
+    assert fit.prefactor == pytest.approx(np.exp(intercept), rel=1e-12)
+    assert fit.residual_rms == pytest.approx(rms, rel=1e-12)
+
+
+def test_fit_exponent_matches_polyfit_on_dyn_curve(dyn_signal, dyn_particle, dyn_pair):
+    t_lo = 5.0 * 2.0 * math.pi / OMEGA
+    times = np.geomspace(t_lo, dyn_pair.extent, 40)
+    _assert_fit_matches_polyfit(probability_curve(dyn_signal, dyn_particle, times),
+                                (t_lo, dyn_pair.extent))
+
+
+def test_fit_exponent_matches_polyfit_on_noisy_data():
+    rng = np.random.default_rng(20261019)
+    for _ in range(20):
+        times = np.geomspace(rng.uniform(0.1, 10.0), rng.uniform(20.0, 500.0),
+                             int(rng.integers(10, 200)))
+        values = (rng.uniform(1e-8, 1e-2) * times ** rng.uniform(0.5, 4.0)
+                  * np.exp(rng.normal(0.0, 0.3, times.size)))
+        curve = ProbabilityCurve(times=times, values=values, gap_frequency=OMEGA, coupling=1.0)
+        _assert_fit_matches_polyfit(curve, (times[0], times[-1]))
+
+
+def test_fit_exponent_refuses_non_positive_probability():
+    times = np.geomspace(1.0, 30.0, 24)
+    values = 0.01 * times**2
+    values[5] = 0.0
+    curve = ProbabilityCurve(times=times, values=values, gap_frequency=OMEGA, coupling=1.0)
+    with pytest.raises(InsufficientData, match="non-positive"):
+        fit_exponent(curve, (1.0, 30.0))
 
 
 def test_quadratic_law_on_superosc(dyn_signal, dyn_particle, dyn_pair):
@@ -135,7 +178,7 @@ def test_monochromatic_equivalence_window(dyn_signal, dyn_particle, dyn_pair):
     amp = matched_sine_amplitude(dyn_signal, OMEGA, -dyn_pair.extent, 0.0)
     times = np.linspace(10.0 * 2.0 * math.pi / OMEGA, dyn_pair.extent, 25)
     curve = probability_curve(dyn_signal, dyn_particle, times)
-    mono = np.array([monochromatic_reference(OMEGA, amp, t) for t in times])
+    mono = np.array([monochromatic_reference(amp, t) for t in times])
     assert np.max(np.abs(curve.values / mono - 1.0)) <= 0.05
 
 

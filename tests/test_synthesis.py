@@ -9,7 +9,6 @@ from superosc import (
     WindowSpec,
     combine_pair,
     component_log,
-    growth_region,
     make_real_superosc,
     sample_component,
     synth_bessel,
@@ -23,13 +22,14 @@ from superosc.errors import (
 )
 from superosc.frequency import zero_crossings
 from superosc.params import QUARTER
-from superosc.synthesis import INTEGRAL_HONEST_CAP, LOG_DOUBLE_MAX
+from superosc.synthesis import INTEGRAL_HONEST_CAP
 
 from superosc.cli import _grid_from, _pair_from, _window_from
 
 from conftest import (MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of,
                       regime)
-from oracles import radicand, synth_asymptotic
+from oracles import (all_points_component_log, all_points_pair, growth_region, in_log_pair,
+                     radicand, synth_asymptotic)
 
 # Frozen closed-form oracle values (mpmath, 30 digits):
 #   J0(4)                                  = -0.397149809863847372...
@@ -340,8 +340,8 @@ def test_pair_wavenumbers():
 
 
 def test_pair_constant_modulus_in_window(cert_pair):
-    z = np.linspace(-cert_pair.extent, 0.0, 400)
-    mags = np.abs(cert_pair(z))
+    n = 400
+    mags = np.abs(cert_pair.sample(-cert_pair.extent, cert_pair.extent / (n - 1), n).values)
     assert np.max(np.abs(mags - 1.0)) < 0.05  # amplitude 1 in the window
 
 
@@ -440,65 +440,21 @@ def test_route_agreement_fuzz_seeded():
 # ------------------------------------------------- masked Bessel branches ----
 
 
-def _all_points_component_log(p, z):
-    """Reference: both Bessel branches on every point, merged by np.where."""
-    from scipy.special import i0e, j0
-
-    z = np.asarray(z, dtype=float)
-    rad = radicand(p, z)
-    if p.amplitude == 0.0:
-        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    log_pref = math.log(abs(p.amplitude) * math.sqrt(math.pi) / (math.sqrt(2.0) * p.delta))
-    oscillatory = rad >= 0.0
-    jval = j0(p.inv_sq_delta * np.sqrt(np.maximum(rad, 0.0)))
-    xi = p.inv_sq_delta * np.sqrt(np.maximum(-rad, 0.0))
-    with np.errstate(divide="ignore"):
-        logmag = np.where(oscillatory, log_pref + np.log(np.abs(jval)),
-                          log_pref + xi + np.log(i0e(xi)))
-    sign = np.where(oscillatory, np.sign(jval), 1.0) * math.copysign(1.0, p.amplitude)
-    return logmag, sign * np.exp(0.5j * z * p.band_limit)
-
-
-def _complex_combine(l1, u1, l2, u2):
-    """Reference: u1 e^l1 + u2 e^l2 in complex arithmetic, scaled by the larger log-magnitude."""
-    peak = np.maximum(l1, l2)
-    if np.any(peak > LOG_DOUBLE_MAX):
-        raise OverflowRegime(
-            f"combined magnitude reaches e^{peak.max():.0f}; apply a window or "
-            "restrict the grid to the representable range"
-        )
-    peak = np.where(np.isneginf(peak), 0.0, peak)
-    return (u1 * np.exp(l1 - peak) + u2 * np.exp(l2 - peak)) * np.exp(peak)
-
-
-def _all_points_pair(pair, z, window=None):
-    l1, u1 = _all_points_component_log(pair.p1, z)
-    l2, u2 = _all_points_component_log(pair.p2, z)
-    u2 = u2 * (1j * pair.branch)
-    if window is not None:
-        logh = window.log_profile(z)
-        l1, l2 = l1 + logh, l2 + logh
-    return _complex_combine(l1, u1, l2, u2)
-
-
 @pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
 def test_masked_component_log_matches_all_points(amplitude):
     from superosc import component_log
-    from superosc.synthesis import growth_region
 
     p = mild_component(amplitude)
     z_lo, z_hi = growth_region(p)
     z = np.linspace(z_lo - 20.0, z_hi + 20.0, 5001)  # straddles both edges
     logmag, unit = component_log(p, z)
-    ref_logmag, ref_unit = _all_points_component_log(p, z)
+    ref_logmag, ref_unit = all_points_component_log(p, z)
     assert np.array_equal(logmag, ref_logmag)
     assert np.array_equal(unit, ref_unit)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0])
 def test_masked_pair_samples_match_all_points(amplitude):
-    from superosc.synthesis import growth_region
-
     pair = mild_pair_of(amplitude)
     lo = min(growth_region(pair.p1)[0], growth_region(pair.p2)[0])
     hi = max(growth_region(pair.p1)[1], growth_region(pair.p2)[1])
@@ -506,7 +462,7 @@ def test_masked_pair_samples_match_all_points(amplitude):
     n = int((hi + 30.0 - z_min) / dz)
     z = z_min + dz * np.arange(n)
     for window in (None, MILD_PAIR_WINDOW):
-        ref = _all_points_pair(pair, z, window)
+        ref = all_points_pair(pair, z, window)
         assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
         assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
                               np.imag(ref))
@@ -517,7 +473,7 @@ def test_masked_bessel_scalar_and_0d_input():
 
     p = mild_component(-1.0)
     for z in (-3.0, 0.0, p.growth_peak_z, 200.0):  # window, origin, growth peak, beyond it
-        ref_logmag, ref_unit = _all_points_component_log(p, np.asarray(z))
+        ref_logmag, ref_unit = all_points_component_log(p, np.asarray(z))
         assert synth_bessel(p, z) == complex(ref_unit * np.exp(ref_logmag))
         logmag, unit = component_log(p, np.asarray(z))
         assert logmag.shape == () and unit.shape == ()
@@ -624,7 +580,7 @@ def test_pipeline_grid_samples_match_complex_combine_bitwise(fixture, refine):
     z = z_min + dz * np.arange(n)
     for amplitude in (1e-4, -3e-3, 1e-2, 0.0):
         pair = _pair_from(regime(fixture, amplitude=amplitude))
-        ref = _all_points_pair(pair, z, window)
+        ref = all_points_pair(pair, z, window)
         assert np.array_equal(_bits(pair.sample(z_min, dz, n, window=window).values),
                               _bits(ref))
         assert np.array_equal(_bits(pair.sample_real(z_min, dz, n, window=window).values),
@@ -642,9 +598,74 @@ def test_underflowed_samples_keep_complex_signed_zeros(amplitude, branch):
     window = WindowSpec(half_width=0.05)
     z_min, dz, n = -1200.0, 0.125, 19200
     z = z_min + dz * np.arange(n)
-    ref = _all_points_pair(pair, z, window)
+    ref = all_points_pair(pair, z, window)
     zero = ref.imag == 0.0
     assert np.signbit(ref.imag[zero]).any() and not np.signbit(ref.imag[zero]).all()
     assert np.array_equal(_bits(pair.sample(z_min, dz, n, window=window).values), _bits(ref))
     assert np.array_equal(_bits(pair.sample_real(z_min, dz, n, window=window).values),
                           _bits(ref.imag))
+
+
+# Rounding bound of the factored combine against the in-log formula, relative
+# to each sample's envelope e^peak.  log|a| is added once to the peak instead
+# of inside each log-magnitude, which moves a sample by a few units in the
+# last place of its exponent: up to 2.3e-13 on the certificate grid, where
+# the peak reaches e^689, and 1.1e-14 on the dyn grids (measured at the
+# amplitudes below).  The bounds are about twice that.
+FACTORED_TOL = {"cert": 5e-13, "dyn-2^15": 3e-14, "dyn-2^16": 3e-14}
+PIPELINE_GRIDS = pytest.mark.parametrize(
+    "fixture,refine,grid_id",
+    [("spectrum_cert.cfg", 1, "cert"), ("energy.cfg", 1, "dyn-2^15"),
+     ("energy.cfg", 2, "dyn-2^16")],
+    ids=["cert", "dyn-2^15", "dyn-2^16"])
+
+
+def _pipeline_grid(fixture, refine):
+    conf = regime(fixture)
+    z_min, dz, n = _grid_from(conf)
+    dz, n = dz / refine, n * refine
+    return _window_from(conf), (z_min, dz, n), z_min + dz * np.arange(n)
+
+
+@PIPELINE_GRIDS
+def test_factored_combine_within_rounding_of_in_log_formula(fixture, refine, grid_id):
+    window, grid, z = _pipeline_grid(fixture, refine)
+    for amplitude in (1e-4, -3e-3, 1e-2):
+        pair = _pair_from(regime(fixture, amplitude=amplitude))
+        ref, envelope = in_log_pair(pair, z, window)
+        tol = FACTORED_TOL[grid_id] * envelope
+        assert np.all(np.abs(pair.sample(*grid, window=window).values - ref) <= tol)
+        assert np.all(np.abs(pair.sample_real(*grid, window=window).values - ref.imag) <= tol)
+
+
+@PIPELINE_GRIDS
+def test_factored_combine_at_unit_amplitude_is_in_log_formula_bitwise(fixture, refine, grid_id):
+    # log|a| = 0: the peak and both log-magnitudes are those of the in-log formula
+    window, grid, z = _pipeline_grid(fixture, refine)
+    for amplitude in (1.0, -1.0):
+        pair = _pair_from(regime(fixture, amplitude=amplitude))
+        ref, _ = in_log_pair(pair, z, window)
+        assert np.array_equal(_bits(pair.sample(*grid, window=window).values), _bits(ref))
+        assert np.array_equal(_bits(pair.sample_real(*grid, window=window).values),
+                              _bits(ref.imag))
+
+
+# ------------------------------------------------------- index ranges ----
+
+
+def test_index_range_is_mask_selection():
+    # dz = 0.1 is not a binary fraction, so z[i] differs from the decimal
+    # z_min + i/10; bounds taken from the samples themselves lie exactly on them
+    s = SampledSignal(z_min=-5.0, dz=0.1, values=np.ones(101), k_max=1.0)
+    z = s.z_min + s.dz * np.arange(s.n)
+    on_samples = [float(z[i]) for i in (0, 1, 37, 50, 99, 100)]
+    bounds = on_samples + [np.nextafter(v, -np.inf) for v in on_samples] + [
+        np.nextafter(v, np.inf) for v in on_samples] + [-4.3, -0.1, 0.0, 2.7, -7.0, 6.0]
+    for z_lo in bounds + [-np.inf, np.nan]:
+        for z_hi in bounds + [np.inf, np.nan]:
+            i_lo, i_hi = s.index_range(z_lo, z_hi)
+            sel = np.flatnonzero((z >= z_lo) & (z <= z_hi))
+            assert np.array_equal(np.arange(i_lo, i_hi), sel), (z_lo, z_hi)
+            assert np.array_equal(s.z_slice(i_lo, i_hi), z[sel])
+    assert np.array_equal(s.z, z)
+    assert all(s.z_at(i) == z[i] for i in range(s.n))
