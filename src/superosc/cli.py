@@ -351,8 +351,17 @@ def _region_labels(z: np.ndarray, p: SuperoscParams) -> np.ndarray:
     return regions
 
 
+def _refuse_zero_signal(amplitude: float) -> None:
+    """A zero amplitude gives the zero signal, whose logs, phases and ratios are undefined."""
+    if amplitude == 0.0:
+        raise DegenerateDenominator(
+            "amplitude = 0: the signal is identically zero, so its log-magnitudes, "
+            "phases and normalized values are undefined")
+
+
 def run_synth(conf: dict) -> RunRecord:
     p = _component_from(conf)
+    _refuse_zero_signal(p.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, p.superosc_wavenumber(+1))
     sig = sample_component(p, z_min, dz, n, window=window, label="synth")
@@ -403,6 +412,7 @@ def run_synth(conf: dict) -> RunRecord:
 
 def run_spectrum(conf: dict) -> RunRecord:
     pair = _pair_from(conf)
+    _refuse_zero_signal(pair.p1.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, pair.k_max)
     sig = pair.sample(z_min, dz, n, window=window, label="spectrum")
@@ -433,6 +443,7 @@ def run_spectrum(conf: dict) -> RunRecord:
 
 def run_freq_map(conf: dict) -> RunRecord:
     pair = _pair_from(conf)
+    _refuse_zero_signal(pair.p1.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, pair.k_max) if "grid" in conf else _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, window=window if not window.is_identity else None,
@@ -598,6 +609,7 @@ def _sweep_point(conf: dict, point: dict) -> dict:
     extent = kwargs["extent"]
     p1, p2 = SuperoscParams.locked_pair(m_phase, **kwargs)
     pair = combine_pair(p1, p2, branch=+1)
+    _refuse_zero_signal(pair.p1.amplitude)
     z_min, dz, n = _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, label="sweep")
     lo, hi = -0.9 * extent, -0.1 * extent

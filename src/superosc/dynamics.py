@@ -165,12 +165,19 @@ class ProbabilityCurve:
         return bool(self.breakdown.any())
 
 
+def _coupling_squared(coupling: float) -> float:
+    try:
+        return coupling**2
+    except OverflowError:
+        raise DomainError(f"coupling^2 overflows a double (coupling = {coupling:g})") from None
+
+
 def probability_curve(s: SampledSignal, particle: TwoLevelParticle, times,
                       label: str = "") -> ProbabilityCurve:
     """P on a time grid; points with P above 0.1 carry the breakdown flag."""
     times = np.asarray(times, dtype=float)
     amps = _excitation_amplitudes(s, particle.gap_frequency, times, particle.detector_z)[0]
-    values = particle.coupling**2 * np.abs(amps) ** 2
+    values = _coupling_squared(particle.coupling) * np.abs(amps) ** 2
     return ProbabilityCurve(times=times, values=values,
                             gap_frequency=particle.gap_frequency,
                             coupling=particle.coupling, label=label or s.label)
@@ -268,5 +275,5 @@ def detuning_scan(s: SampledSignal, gaps, t: float,
     if np.any(gaps <= 0.0):
         raise DomainError("all probe gaps must be > 0")
     amps = _excitation_amplitudes(s, gaps, t, detector_z)[:, 0]
-    probs = coupling**2 * np.abs(amps) ** 2
+    probs = _coupling_squared(coupling) * np.abs(amps) ** 2
     return DetuningScan(gaps=gaps, probabilities=probs, t=t, coupling=coupling)

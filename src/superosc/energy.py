@@ -42,9 +42,13 @@ def i2_over_gap(theta: float) -> float:
     """I2 in units of the gap energy, a function of theta = Omega*t alone."""
     if theta <= 0.0:
         raise DomainError("theta must be > 0")
+    try:
+        theta_sq = theta**2
+    except OverflowError:
+        raise DomainError(f"theta^2 overflows a double (theta = Omega t = {theta:g})") from None
     s2 = math.sin(2.0 * theta)
     s1 = math.sin(theta)
-    numerator = theta**2 / 4.0 - s2**2 / 16.0 - s1**4 / 4.0
+    numerator = theta_sq / 4.0 - s2**2 / 16.0 - s1**4 / 4.0
     denominator = sine_overlap_denominator(1.0, theta)
     if denominator < 1e-12:
         raise DegenerateDenominator(f"sine-overlap denominator vanished at theta={theta}")

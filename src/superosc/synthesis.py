@@ -96,6 +96,14 @@ On the shifted contour the integrand exp(m sin b + i c cos b) is entire and
 coefficients decay past k ~ r = |c| + |m|, so N = 2M nodes with
 M = floor(r + 10 r^(1/3)) + 24, rounded up to even, resolve it; the error
 estimate is |T_N - T_{N/2}|, T_{N/2} being the sum over every other node.
+N is a multiple of 4, so the nodes are closed under the integrand's two
+reflections: b -> pi - b conjugates it (its real part is even about pi/2,
+its imaginary part odd), and b -> -b flips the sign of m.  So the imaginary
+parts cancel exactly, and T_N is the real sum of
+G(b) = cosh(m sin b) cos(c cos b) over a quarter period, end nodes at half
+weight: N/4 + 1 distinct nodes, whose sin and cos ``_quarter_nodes`` caches
+read-only per N (maxsize 64, a few KiB per entry) with the weights of T_N
+and T_{N/2}.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ INTEGRAL_HONEST_CAP = 30.0
 # (amplitude-normalized) integrand.
 INTEGRAL_REL_TARGET = 1e-10
 
-_MACHINE_EPS = np.finfo(float).eps
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 def _radicand(inv_sq_delta: float, boost: float, band_limit: float, z):
@@ -343,20 +351,52 @@ def _trapezoid_nodes(phase_coeff: float, modulus_rate: float) -> int:
     return 4 * ((m + 1) // 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _quarter_nodes(n_nodes: int):
+    """sin and cos of the quarter-period nodes b_k = 2 pi k/N, k = 0..N/4, and the
+    folded rule's weights, cached read-only.
+
+    Row 0 of the weights gives T_N, row 1 T_{N/2}, from G(b_0..b_{N/4}); see
+    ``_circle_trapezoid``.
+    """
+    quarter = n_nodes // 4
+    beta = np.arange(quarter + 1) * (2.0 * math.pi / n_nodes)
+    weights = np.zeros((2, quarter + 1))
+    weights[0, 1:quarter] = 8.0 * math.pi / n_nodes
+    weights[0, [0, quarter]] = 4.0 * math.pi / n_nodes
+    # T_{N/2} has the even nodes; pi/2 is one of them only when N/4 is even
+    weights[1, 2:quarter:2] = 16.0 * math.pi / n_nodes
+    weights[1, 0] = 8.0 * math.pi / n_nodes
+    if quarter % 2 == 0:
+        weights[1, quarter] = 8.0 * math.pi / n_nodes
+    tables = (np.sin(beta), np.cos(beta), weights)
+    _read_only(*tables)
+    return tables
+
+
 def _circle_trapezoid(phase_coeff: float, modulus_rate: float, residual_max: float,
                       n_nodes: int) -> QuadResult:
     """Integral over [0, 2 pi] of exp(modulus_rate sin b - residual_max + i phase_coeff cos b).
 
     The periodic trapezoid sum T_N on N = n_nodes equispaced nodes, N a
-    multiple of 4 (see ``_trapezoid_nodes``); the error estimate is
-    |T_N - T_{N/2}|, where T_{N/2} sums every other node.  Raises
+    multiple of 4 (see ``_trapezoid_nodes``), folded onto a quarter period by
+    the integrand's two reflections (see the module docstring): with
+    m = modulus_rate, r = residual_max and c = phase_coeff,
+
+        T_N = (8 pi/N) [G(0)/2 + sum_{k=1}^{N/4-1} G(2 pi k/N) + G(pi/2)/2],
+        G(b) = e^-r cosh(m sin b) cos(c cos b)
+             = (e^(m sin b - r) + e^(-m sin b - r)) cos(c cos b) / 2,
+
+    a real sum over N/4 + 1 distinct nodes.  The error estimate is
+    |T_N - T_{N/2}|, where T_{N/2} sums every other node: the even entries of
+    the same table, and pi/2 only when N/4 is even.  Raises
     QuadratureNoConvergence when the estimate exceeds INTEGRAL_REL_TARGET *
     2 pi.
     """
-    beta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-    y = np.exp((modulus_rate * np.sin(beta) - residual_max) + 1j * phase_coeff * np.cos(beta))
-    full = y.sum() * (2.0 * math.pi / n_nodes)
-    half = y[::2].sum() * (4.0 * math.pi / n_nodes)
+    sin, cos, weights = _quarter_nodes(n_nodes)
+    g = np.cos(np.multiply(phase_coeff, cos))
+    g *= np.cosh(np.multiply(modulus_rate, sin))
+    full, half = (weights @ g) * math.exp(-residual_max)
     error = float(abs(full - half))
     target = INTEGRAL_REL_TARGET * 2.0 * math.pi
     if error > target:
@@ -371,7 +411,10 @@ def synth_integral(p: SuperoscParams, z: float) -> QuadResult:
     """Circle-integral route for a single point; returns value with error estimate.
 
     The periodic trapezoid rule on the shifted contour, with N nodes from
-    ``_trapezoid_nodes``; ``n_evals`` is N.  The error estimate is
+    ``_trapezoid_nodes``; ``n_evals`` is N, the rule's node count, although
+    the folded sum evaluates only N/4 + 1 distinct nodes (see
+    ``_circle_trapezoid``).  The value's imaginary part comes from the
+    carrier alone.  The error estimate is
     scale * (|T_N - T_{N/2}| + (16 + r) eps 2 pi), r = |phase_coeff| +
     |modulus_rate|, the second term the rounding floor of the sum and of
     the nodes' exponents.  Raises QuadratureNoConvergence where the
@@ -383,36 +426,36 @@ def synth_integral(p: SuperoscParams, z: float) -> QuadResult:
             f"sinh(A)/delta^2 = {p.growth_exponent:.1f} > {INTEGRAL_OVERFLOW_CAP:.0f}: "
             "amplitude scale not representable"
         )
-    z = float(z)
-    log_pref = -np.inf if p.amplitude == 0.0 else math.log(
-        abs(p.amplitude) / (2.0 * p.delta * math.sqrt(2.0 * math.pi))
-    )
     if p.amplitude == 0.0:
         return QuadResult(0.0 + 0.0j, 0.0, 0)
+    z = float(z)
+    log_pref = math.log(abs(p.amplitude) / (2.0 * p.delta * math.sqrt(2.0 * math.pi)))
     inv2 = p.inv_sq_delta
+    half_phase = 0.5 * z * p.band_limit  # of the carrier e^(i z k0/2)
 
     if z <= 0.0:
         shift = _flattening_shift(p, z)
         residual_max = 0.0
     else:
         shift = p.boost
-        residual_max = 0.5 * z * p.band_limit * math.sinh(p.boost)
+        residual_max = half_phase * math.sinh(p.boost)
         if residual_max > INTEGRAL_HONEST_CAP:
             raise QuadratureNoConvergence(
                 f"residual amplitude e^{residual_max:.1f} defeats double-precision "
                 "cancellation; the closed form is authoritative here"
             )
-    phase_coeff = 0.5 * z * p.band_limit * math.cosh(shift) - math.cosh(p.boost - shift) * inv2
-    modulus_rate = math.sinh(p.boost - shift) * inv2 + 0.5 * z * p.band_limit * math.sinh(shift)
+    phase_coeff = half_phase * math.cosh(shift) - math.cosh(p.boost - shift) * inv2
+    modulus_rate = math.sinh(p.boost - shift) * inv2 + half_phase * math.sinh(shift)
     result = _circle_trapezoid(phase_coeff, modulus_rate, residual_max,
                                _trapezoid_nodes(phase_coeff, modulus_rate))
     scale = math.exp(log_pref + residual_max)
-    carrier = np.exp(0.5j * z * p.band_limit)
     # rounding of the sum, and of each node's exponent, whose size is up to
     # |phase_coeff| + |modulus_rate|
     rounding_floor = (16.0 + abs(phase_coeff) + abs(modulus_rate)) * _MACHINE_EPS * 2.0 * math.pi
     error = scale * (result.error + rounding_floor)
-    return QuadResult(complex(scale * carrier * result.value), error, result.n_evals)
+    value = result.value.real  # the folded sum is real
+    return QuadResult(complex(scale * math.cos(half_phase) * value,
+                              scale * math.sin(half_phase) * value), error, result.n_evals)
 
 
 class PairSynthesizer:

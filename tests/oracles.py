@@ -13,6 +13,9 @@ computes another way:
   combine of ``PairSynthesizer.sample`` and ``sample_real``;
 * ``in_log_pair`` -- the pair with log|a| inside each log-magnitude, the
   formula the factored combine replaced, which bounds its rounding;
+* ``complex_circle_trapezoid`` -- the shifted circle integral's trapezoid
+  sum over all N nodes in complex arithmetic, against the quarter-period
+  real sum of ``synthesis._circle_trapezoid``;
 * ``mode_sum_B`` -- the field expectation as a direct sum over modes at
   arbitrary z, against the inverse FFT of ``expectation_B``.
 
@@ -26,9 +29,10 @@ import numpy as np
 from scipy.special import i0e, j0
 
 from superosc import SuperoscParams
-from superosc.errors import DomainError, OverflowRegime
+from superosc.errors import DomainError, OverflowRegime, QuadratureNoConvergence
 from superosc.field import CoherentAmplitudes
-from superosc.synthesis import LOG_DOUBLE_MAX, _radicand
+from superosc.quadrature import QuadResult
+from superosc.synthesis import INTEGRAL_REL_TARGET, LOG_DOUBLE_MAX, _radicand
 
 
 def radicand(p: SuperoscParams, z):
@@ -131,6 +135,30 @@ def synth_asymptotic(p: SuperoscParams, z):
         * np.cos(np.sqrt(rad) * p.inv_sq_delta - math.pi / 4.0)
     )
     return complex(vals[0]) if scalar else vals
+
+
+def complex_circle_trapezoid(phase_coeff: float, modulus_rate: float, residual_max: float,
+                             n_nodes: int) -> QuadResult:
+    """Integral over [0, 2 pi] of exp(modulus_rate sin b - residual_max + i phase_coeff cos b).
+
+    The periodic trapezoid sum T_N on N = n_nodes equispaced nodes, N a
+    multiple of 4 (see ``_trapezoid_nodes``); the error estimate is
+    |T_N - T_{N/2}|, where T_{N/2} sums every other node.  Raises
+    QuadratureNoConvergence when the estimate exceeds INTEGRAL_REL_TARGET *
+    2 pi.
+    """
+    beta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
+    y = np.exp((modulus_rate * np.sin(beta) - residual_max) + 1j * phase_coeff * np.cos(beta))
+    full = y.sum() * (2.0 * math.pi / n_nodes)
+    half = y[::2].sum() * (4.0 * math.pi / n_nodes)
+    error = float(abs(full - half))
+    target = INTEGRAL_REL_TARGET * 2.0 * math.pi
+    if error > target:
+        raise QuadratureNoConvergence(
+            f"trapezoid error estimate {error:.2e} above target {target:.2e} "
+            f"with {n_nodes} nodes"
+        )
+    return QuadResult(complex(full), error, n_nodes)
 
 
 def _mode_sum(k: np.ndarray, a: np.ndarray, b: np.ndarray, z, t: float) -> np.ndarray:

@@ -232,6 +232,24 @@ def test_detune_zero_coupling_exits_2_with_one_line(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("experiment,fixture", [("synth", "synth.cfg"),
+                                                ("spectrum", "spectrum_cert.cfg"),
+                                                ("freq-map", "freqmap_cert.cfg")])
+def test_zero_amplitude_exits_2_with_one_line(experiment, fixture, tmp_path):
+    # the zero signal has no log-magnitude, phase or normalized value
+    cfg = _edited(fixture, tmp_path, "superosc", "amplitude", "0")
+    env = {k: v for k, v in os.environ.items() if k != "SUPEROSC_OUT"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "superosc", experiment, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("validation error: DegenerateDenominator: amplitude = 0:")
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- sweep ----
 
 
@@ -490,6 +508,7 @@ def test_energy_has_no_count_in_cutoff_or_theta(section, key, value, code, tmp_p
     ("transition.cfg", "transition", "transition", "exponent_range", "1.95"),
     ("energy.cfg", "energy", "modes", "uv_cutoff", "0"),
     ("energy.cfg", "energy", "modes", "uv_cutoff", "1e308"),
+    ("energy.cfg", "energy", "energy", "theta_over_pi", "1e300"),
 ])
 def test_run_time_failures_exit_2_without_traceback(fixture, experiment, section, key, value,
                                                     tmp_path, capsys):
@@ -497,6 +516,32 @@ def test_run_time_failures_exit_2_without_traceback(fixture, experiment, section
     rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
     assert rc == 2 and "Traceback" not in err
     assert err.startswith(("config error:", "validation error:"))
+
+
+@pytest.mark.parametrize("fixture,experiment,section,key,value,quantity", [
+    ("transition.cfg", "transition", "particle", "coupling", "1e200", "coupling^2"),
+    ("energy.cfg", "energy", "energy", "theta_over_pi", "1e300", "theta^2"),
+])
+def test_overflowing_square_is_named(fixture, experiment, section, key, value, quantity,
+                                     tmp_path, capsys):
+    cfg = _edited(fixture, tmp_path, section, key, value)
+    rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
+    assert rc == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"validation error: DomainError: {quantity} overflows a double")
+
+
+def test_sweep_records_zero_amplitude_point_and_goes_on(tmp_path, capsys):
+    cfg = _edited("sweep_boost_ladder.cfg", tmp_path, "sweep", "amplitude", "list:0,1")
+    rc, err = _main_err("sweep", cfg, tmp_path, capsys)
+    assert rc == 0, err
+    points = [json.loads(line)
+              for line in (tmp_path / "sweep_points.jsonl").read_text().splitlines()]
+    assert len(points) == 6
+    for pt in points:
+        if pt["point"]["amplitude"] == 0.0:
+            assert pt["error"].startswith("DegenerateDenominator: amplitude = 0:")
+        else:
+            assert pt["error"] is None and pt["payload"]["certificate_ok"]
 
 
 def test_sweep_records_overflowing_point_and_goes_on(tmp_path, capsys):

@@ -133,9 +133,12 @@ def _shifted_coefficients(p, z):
     return phase, _modulus_rate(p, z, t)
 
 
-@pytest.mark.parametrize("phase,modulus", [(1.0, 0.0), (47.3, 0.0), (400.0, 0.0),
-                                           (0.0, 0.5), (0.0, 5.0), (0.0, 29.0),
-                                           (40.0, 10.0), (3.0, 25.0)])
+# (phase_coeff, modulus_rate) of the circle-integral trapezoid tests
+_TRAPEZOID_CASES = [(1.0, 0.0), (47.3, 0.0), (400.0, 0.0), (0.0, 0.5), (0.0, 5.0), (0.0, 29.0),
+                    (40.0, 10.0), (3.0, 25.0)]
+
+
+@pytest.mark.parametrize("phase,modulus", _TRAPEZOID_CASES)
 def test_trapezoid_converges_to_mpmath_bessel(phase, modulus):
     # integral over [0, 2 pi] of exp(m sin b + i c cos b) = 2 pi I0(sqrt(m^2 - c^2)):
     # 2 pi J0(c) at m = 0, 2 pi I0(m) at c = 0; scaled by e^-m as on the growth side
@@ -161,6 +164,41 @@ def test_trapezoid_converges_to_mpmath_bessel(phase, modulus):
         accepted.append(n_nodes)
     assert accepted and accepted[-1] == rule
     assert abs(res.value - ref) <= 1e-13 * (1.0 + abs(ref))
+
+
+def _accepts(route, *args) -> bool:
+    try:
+        route(*args)
+    except QuadratureNoConvergence:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("phase,modulus", _TRAPEZOID_CASES)
+def test_folded_trapezoid_matches_complex_sum(phase, modulus, monkeypatch):
+    # the quarter-period real sum against the full complex T_N at every N up to
+    # the rule, N/4 odd and even: value, estimate and verdict agree to rounding
+    import oracles
+    from superosc import synthesis
+
+    rounding = (16.0 + abs(phase) + abs(modulus)) * synthesis._MACHINE_EPS * 2.0 * math.pi
+    target = synthesis.INTEGRAL_REL_TARGET * 2.0 * math.pi
+    routes = (synthesis._circle_trapezoid, oracles.complex_circle_trapezoid)
+    parities = set()
+    for n_nodes in range(8, synthesis._trapezoid_nodes(phase, modulus) + 1, 4):
+        args = (phase, modulus, modulus, n_nodes)
+        with monkeypatch.context() as m:  # no refusal: compare the sums at every N
+            m.setattr(synthesis, "INTEGRAL_REL_TARGET", math.inf)
+            m.setattr(oracles, "INTEGRAL_REL_TARGET", math.inf)
+            folded, full = (route(*args) for route in routes)
+        assert folded.value.imag == 0.0
+        assert abs(folded.value - full.value) <= rounding, n_nodes
+        assert abs(folded.error - full.error) <= rounding, n_nodes
+        assert folded.n_evals == full.n_evals == n_nodes
+        if abs(full.error - target) > rounding:
+            assert _accepts(routes[0], *args) == _accepts(routes[1], *args), n_nodes
+        parities.add(n_nodes // 4 % 2)
+    assert parities == {0, 1}
 
 
 def test_deepest_acceptance_point_uses_node_rule():
@@ -496,11 +534,11 @@ _CL_REGIMES = {
 }
 
 
-def _component_reference(p, z):
-    """(F, prefactor, Bessel argument) at z, 40 digits."""
+def _component_reference(p, z, dps=40):
+    """(F, prefactor, Bessel argument) at z, ``dps`` digits."""
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         zz, inv2, k0 = mpmath.mpf(z), mpmath.mpf(p.inv_sq_delta), mpmath.mpf(p.band_limit)
         u = zz * k0 / inv2
         rad = 1 - u * mpmath.cosh(mpmath.mpf(p.boost)) + u**2 / 4
@@ -543,6 +581,28 @@ def test_component_log_matches_mpmath_near_j0_zeros(regime_name):
             ref, pref, x = _component_reference(p, z)
             envelope = float(pref) * min(1.0, math.sqrt(2.0 / (math.pi * float(x))))
             assert abs(_component_value(p, z) - complex(ref)) <= zero_tol * envelope, z
+
+
+def test_both_routes_at_rounding_near_acceptance_domain_j0_zero():
+    # A quadrature_grid draw (seed 54) whose Bessel argument lies 2.7e-9 from
+    # the third J0 zero, the zero itself and x 5.6e-10 either side.  There |F|
+    # is under 3e-9 of the envelope, so a relative 1e-8 check between the two
+    # routes asks for less than one rounding unit of the envelope; against the
+    # envelope both routes sit at rounding level (7 eps measured).
+    from scipy.special import jn_zeros
+
+    p = _p(0.6299395309258813, 0.9197042314092413)
+    cosh_a = math.cosh(p.boost)
+    j = jn_zeros(0, 3)[-1]
+    z0 = (2.0 * (cosh_a - math.sqrt(cosh_a**2 - 1.0 + (j / p.inv_sq_delta) ** 2))
+          * p.inv_sq_delta / p.band_limit)
+    for z in (-10.779622506727298, z0, z0 * (1.0 - 1e-10), z0 * (1.0 + 1e-10)):
+        ref, pref, x = _component_reference(p, z, dps=50)
+        envelope = float(pref) * min(1.0, math.sqrt(2.0 / (math.pi * float(x))))
+        assert abs(float(x) - j) <= 3e-9, z
+        assert 1e-8 * abs(complex(ref)) < np.finfo(float).eps * envelope, z
+        for value in (synth_integral(p, z).value, synth_bessel(p, z)):
+            assert abs(value - complex(ref)) <= 16.0 * np.finfo(float).eps * envelope, z
 
 
 def test_component_log_matches_mpmath_at_cert_growth_peak():

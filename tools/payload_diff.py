@@ -19,11 +19,20 @@ on each revision, in a fresh interpreter that imports that revision's own
 ladder, and the signal and field arrays, as well as what ``Pipeline.check``
 reports.  The draws come from the WARM_SEED (41) stream of worker index 0.
 
+Stderr is compared token by token: each line is split into numbers and the
+text between them, so that a number printed in a message compares as a
+number.
+
 Each compared file or output prints "identical", or the largest absolute and
-relative change of its numeric fields and the first field that differs in any
-other way.  The exit code is 1 when a non-numeric field differs, a field or
-file is present on one side only, or a relative change exceeds
-``--rel-bound`` (default 0: any change); else 0.
+relative change of its numeric fields, the largest change against the max
+|value| of the field's array, and the first field that differs in any other
+way.  A field's array is every numeric field whose path differs from it only
+in the first list index: a CSV column, one op's output array, a record
+list's entries.  The relative change of a value near zero can be large for a
+rounding-level move; against the array's max it cannot.  The exit code is 1
+when a non-numeric field differs, a field or file is present on one side
+only, or a relative change exceeds ``--rel-bound`` (default 0: any change);
+else 0.
 """
 
 from __future__ import annotations
@@ -37,10 +46,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +73,13 @@ SWEEP_SEED = 41
 SWEEP_LADDER = 10  # values per swept key: 10 x 10 points
 WARM_OPS = 4  # pipeline_warm draws per revision
 WARM_SEED = 41
+# a number standing alone in a line of text: not part of a word or a hex digest
+_NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
+
+
+def _tokens(line: str) -> list[str]:
+    """A line as alternating text and number tokens (text first, possibly empty)."""
+    return _NUMBER.split(line)
 
 
 def _sweep_config(fixture: Path, path: Path) -> None:
@@ -94,7 +112,8 @@ def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
             capture_output=True, text=True, env=env, cwd=out,
         )
         files: dict[str, object] = {"exit code": proc.returncode,
-                                    "stderr": proc.stderr.splitlines()}
+                                    "stderr": [_tokens(line)
+                                               for line in proc.stderr.splitlines()]}
         for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
             text = path.read_text(encoding="utf-8")
             if path.suffix == ".json":
@@ -145,18 +164,32 @@ def run_warm(tree: Path, out: Path) -> dict[str, np.ndarray]:
         return {key: data[key] for key in data.files}
 
 
-def _report(label: str, result: tuple, rel_bound: float) -> tuple[str, bool, bool]:
+class Change(NamedTuple):
+    """What ``compare`` found between two outputs."""
+
+    max_abs: float
+    at_abs: str
+    max_rel: float  # against the larger of the two values
+    at_rel: str
+    other: str | None  # the first non-numeric difference
+    max_scaled: float  # against the max |value| of the field's array
+    at_scaled: str
+
+
+def _report(label: str, result: Change, rel_bound: float) -> tuple[str, bool, bool]:
     """One printed line for a compare result, and whether it changed and failed."""
-    max_abs, at_abs, max_rel, at_rel, other = result
-    if other is None and max_abs == 0.0:
+    if result.other is None and result.max_abs == 0.0:
         return f"{label}: identical", False, False
     parts = []
-    if max_abs:
-        parts.append(f"max abs change {max_abs:.3g} at {at_abs}, "
-                     f"max rel change {max_rel:.3g} at {at_rel}")
-    if other:
-        parts.append(f"differs: {other}")
-    return f"{label}: " + "; ".join(parts), True, other is not None or max_rel > rel_bound
+    if result.max_abs:
+        parts.append(f"max abs change {result.max_abs:.3g} at {result.at_abs}, "
+                     f"max rel change {result.max_rel:.3g} at {result.at_rel}, "
+                     f"max change over its array's max {result.max_scaled:.3g} "
+                     f"at {result.at_scaled}")
+    if result.other:
+        parts.append(f"differs: {result.other}")
+    return (f"{label}: " + "; ".join(parts), True,
+            result.other is not None or result.max_rel > rel_bound)
 
 
 def _leaves(obj, path: str = ""):
@@ -180,10 +213,24 @@ def _number(value) -> float:
         return math.nan
 
 
-def compare(a, b) -> tuple[float, str, float, str, str | None]:
-    """Largest absolute and relative numeric change, and the first other difference."""
+def _array_of(key: str) -> str:
+    """The array a field belongs to: its path with the first list index a wildcard."""
+    return re.sub(r"\[\d+\]", "[*]", key, count=1)
+
+
+def compare(a, b) -> Change:
+    """Largest absolute, relative and array-scaled numeric change, and the first other
+    difference."""
     la, lb = dict(_leaves(a)), dict(_leaves(b))
+    peaks: dict[str, float] = {}  # max finite |value| per array, over both sides
+    for leaves in (la, lb):
+        for key, value in leaves.items():
+            x = abs(_number(value))
+            if x < math.inf:
+                array = _array_of(key)
+                peaks[array] = max(peaks.get(array, 0.0), x)
     max_abs, at_abs, max_rel, at_rel, other = 0.0, "", 0.0, "", None
+    max_scaled, at_scaled = 0.0, ""
     for key in sorted(la.keys() | lb.keys()):
         if key not in la or key not in lb:
             other = other or f"{key} present on one side only"
@@ -197,11 +244,14 @@ def compare(a, b) -> tuple[float, str, float, str, str | None]:
             other = other or f"{key or 'value'}: {va!r} != {vb!r}"
             continue
         rel = diff / max(abs(xa), abs(xb))
+        scaled = diff / (peaks.get(_array_of(key)) or max(abs(xa), abs(xb)))
         if diff > max_abs:
             max_abs, at_abs = diff, key
         if rel > max_rel:
             max_rel, at_rel = rel, key
-    return max_abs, at_abs, max_rel, at_rel, other
+        if scaled > max_scaled:
+            max_scaled, at_scaled = scaled, key
+    return Change(max_abs, at_abs, max_rel, at_rel, other, max_scaled, at_scaled)
 
 
 def main(argv: list[str] | None = None) -> int:
