@@ -351,20 +351,25 @@ def _region_labels(z: np.ndarray, p: SuperoscParams) -> np.ndarray:
     return regions
 
 
-def _refuse_zero_signal(amplitude: float) -> None:
-    """A zero amplitude gives the zero signal, whose logs, phases and ratios are undefined."""
-    if amplitude == 0.0:
+def _refuse_zero_signal(amplitude: float, sig: SampledSignal) -> None:
+    """The zero signal has no log-magnitude, phase or normalized value.
+
+    It comes from a zero amplitude, or from a grid on which every sample underflows.
+    """
+    if sig.max_abs == 0.0:
+        cause = ("amplitude = 0" if amplitude == 0.0 else
+                 f"every sample underflows to 0 on [{sig.z_min:g}, {sig.z_max:g}]")
         raise DegenerateDenominator(
-            "amplitude = 0: the signal is identically zero, so its log-magnitudes, "
+            f"{cause}: the signal is identically zero, so its log-magnitudes, "
             "phases and normalized values are undefined")
 
 
 def run_synth(conf: dict) -> RunRecord:
     p = _component_from(conf)
-    _refuse_zero_signal(p.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, p.superosc_wavenumber(+1))
     sig = sample_component(p, z_min, dz, n, window=window, label="synth")
+    _refuse_zero_signal(p.amplitude, sig)
     z = sig.z
     v = sig.values
 
@@ -387,6 +392,10 @@ def run_synth(conf: dict) -> RunRecord:
     if cover_growth:
         grow = (z > 0.0) & (z <= p.far_field_onset)
         i_peak = np.argmax(np.where(grow, np.abs(v), -np.inf))
+        if v[i_peak] == 0.0:
+            raise DegenerateDenominator(
+                f"every sample of the growth region (0, {p.far_field_onset:g}] underflows "
+                "to 0, so its peak has no log-magnitude")
         payload["growth_peak"] = {
             "z": float(z[i_peak]),
             "z_predicted": p.growth_peak_z,
@@ -412,10 +421,10 @@ def run_synth(conf: dict) -> RunRecord:
 
 def run_spectrum(conf: dict) -> RunRecord:
     pair = _pair_from(conf)
-    _refuse_zero_signal(pair.p1.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, pair.k_max)
     sig = pair.sample(z_min, dz, n, window=window, label="spectrum")
+    _refuse_zero_signal(pair.p1.amplitude, sig)
     sd = spectrum(sig, band_limit=pair.p1.band_limit, eps_band=conf["spectrum"]["eps_band"])
     kappa = window.half_width
     frac = sd.band_energy_fraction(-kappa, sd.band_limit + kappa)
@@ -443,11 +452,11 @@ def run_spectrum(conf: dict) -> RunRecord:
 
 def run_freq_map(conf: dict) -> RunRecord:
     pair = _pair_from(conf)
-    _refuse_zero_signal(pair.p1.amplitude)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, pair.k_max) if "grid" in conf else _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, window=window if not window.is_identity else None,
                       label="freq-map")
+    _refuse_zero_signal(pair.p1.amplitude, sig)
     frac = conf["freqmap"]["window_fraction"]
     zc = pair.extent
     lo, hi = -0.5 * (1 + frac) * zc, -0.5 * (1 - frac) * zc
@@ -609,9 +618,9 @@ def _sweep_point(conf: dict, point: dict) -> dict:
     extent = kwargs["extent"]
     p1, p2 = SuperoscParams.locked_pair(m_phase, **kwargs)
     pair = combine_pair(p1, p2, branch=+1)
-    _refuse_zero_signal(pair.p1.amplitude)
     z_min, dz, n = _focused_grid(pair)
     sig = pair.sample(z_min, dz, n, label="sweep")
+    _refuse_zero_signal(pair.p1.amplitude, sig)
     lo, hi = -0.9 * extent, -0.1 * extent
     measured = window_frequency(sig, lo, hi)
     target = pair.wavenumber

@@ -150,7 +150,9 @@ def energy_balance(ca: CoherentAmplitudes, particle: TwoLevelParticle, t: float,
             "excited outcome is vacuous; report outside first-order validity"
         )
     e_a = i1 + i2 + i3
-    residual = (e_a - e_b + gap_e) / gap_e
+    # (e_a - e_b + gap) / gap with i1 = e_b taken out exactly: a large e_b would
+    # otherwise round the gap away
+    residual = math.fsum([i2, i3, gap_e]) / gap_e
     report = EnergyReport(
         energy_before=e_b,
         i1=i1,

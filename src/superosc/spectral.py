@@ -155,6 +155,7 @@ def parseval_residual(s: SampledSignal, sd: SpectralDensity) -> float:
     scale = s.max_abs
     if scale == 0.0:
         return 0.0
-    lhs = (np.abs(sd.values / (scale * s.box_length)) ** 2).sum() * sd.dk / (2.0 * np.pi)
+    # divide before multiplying: scale * box_length overflows once scale nears 1e304
+    lhs = (np.abs(sd.values / scale / s.box_length) ** 2).sum() * sd.dk / (2.0 * np.pi)
     rhs = (np.abs(s.values / scale) ** 2).sum() * s.dz / s.box_length**2
     return float(abs(lhs - rhs) / rhs)

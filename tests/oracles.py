@@ -17,7 +17,12 @@ computes another way:
   sum over all N nodes in complex arithmetic, against the quarter-period
   real sum of ``synthesis._circle_trapezoid``;
 * ``mode_sum_B`` -- the field expectation as a direct sum over modes at
-  arbitrary z, against the inverse FFT of ``expectation_B``.
+  arbitrary z, against the inverse FFT of ``expectation_B``;
+* ``local_spline`` and ``spline_amplitudes`` -- the detector integral of
+  one not-a-knot spline fitted per call on the reach plus SPLINE_MARGIN
+  samples, integrated exactly piece by piece; ``per_call_amplitudes``
+  chains the two.  Against the cached detector matrix of
+  ``dynamics._excitation_amplitudes``.
 
 ``growth_region`` only picks test points.
 """
@@ -26,9 +31,11 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import i0e, j0
 
-from superosc import SuperoscParams
+from superosc import SampledSignal, SuperoscParams
+from superosc.dynamics import SPLINE_MARGIN, _moments
 from superosc.errors import DomainError, OverflowRegime, QuadratureNoConvergence
 from superosc.field import CoherentAmplitudes
 from superosc.quadrature import QuadResult
@@ -183,3 +190,52 @@ def mode_sum_B(ca: CoherentAmplitudes, z, t: float = 0.0):
     out = _mode_sum(ca.grid.wavenumbers, coeff * np.imag(ca.alpha),
                     coeff * np.real(ca.alpha), z, t)
     return out if out.size > 1 else float(out[0])
+
+
+def spline_amplitudes(spline: CubicSpline, gaps: np.ndarray, z0: float,
+                      times: np.ndarray) -> np.ndarray:
+    """A(t) = int_{z0 - t}^{z0} spline(z) exp(i Omega (z0 - z)) dz, shape (gaps, times).
+
+    Exact per knot interval: each adds exp(i Omega (z0 - x_j)) sum_p c_pj mu_p(h_j).
+    """
+    x, c = spline.x, spline.c[::-1]  # c[p, j]: coefficient of (z - x_j)^p
+    last = x.size - 2
+    lows = z0 - times
+    jb = min(max(int(np.searchsorted(x, z0, side="right")) - 1, 0), last)
+    ja = np.clip(np.searchsorted(x, lows, side="right") - 1, 0, last)
+    j0 = int(ja.min())
+    knots, coef = x[j0:jb + 1], c[:, j0:jb + 1]  # the pieces the reach touches
+    reach = float(z0 - knots[0])
+    if not math.isfinite(float(gaps.max()) * reach):
+        raise DomainError(f"gap frequency {gaps.max():g} times the detector's reach "
+                          f"{reach:g} overflows")
+    omega = gaps[:, None]
+    phase = np.exp(1j * omega * (z0 - knots))
+    # whole intervals j0 .. jb - 1, each at its own width; rounding of the
+    # uniform knots leaves only a few distinct widths, so moments are per width
+    widths, which = np.unique(np.diff(knots), return_inverse=True)
+    moments = _moments(omega, widths)[:, which]
+    whole = phase[:, :-1] * np.einsum("pj,gjp->gj", coef[:, :-1], moments)
+    tail = np.zeros(phase.shape, dtype=complex)  # tail[:, k]: intervals j0 + k .. jb - 1
+    tail[:, :-1] = np.cumsum(whole[:, ::-1], axis=1)[:, ::-1]
+    top = phase[:, -1] * (_moments(gaps, z0 - knots[-1]) @ coef[:, -1])
+    k = ja - j0
+    bottom = phase[:, k] * np.einsum("pt,gtp->gt", coef[:, k], _moments(omega, lows - knots[k]))
+    amps = top[:, None] + tail[:, k] - bottom
+    amps[:, times == 0.0] = 0.0  # no time, no integral: exactly 0
+    return amps
+
+
+def local_spline(s: SampledSignal, z_lo: float, z_hi: float) -> CubicSpline:
+    """Cubic spline through the samples covering [z_lo, z_hi], plus the margin."""
+    i_lo = max(0, math.floor((z_lo - s.z_min) / s.dz) - SPLINE_MARGIN)
+    i_hi = min(s.n, math.ceil((z_hi - s.z_min) / s.dz) + SPLINE_MARGIN + 1)
+    return CubicSpline(s.z_slice(i_lo, i_hi), s.values[i_lo:i_hi])
+
+
+def per_call_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> np.ndarray:
+    """A(t) for every gap and time, shape (gaps, times), from one spline fitted for this call."""
+    gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    spline = local_spline(s, detector_z - float(times.max()), detector_z)
+    return spline_amplitudes(spline, gaps, detector_z, times)

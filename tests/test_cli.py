@@ -250,6 +250,40 @@ def test_zero_amplitude_exits_2_with_one_line(experiment, fixture, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment,fixture,section,key,value,message", [
+    ("synth", "synth.cfg", "window", "half_width", "1e4",
+     "every sample of the growth region (0, 68.5814] underflows to 0"),
+    ("spectrum", "spectrum_cert.cfg", "grid", "z_min", "1e8",
+     "every sample underflows to 0 on [1e+08, 1.00008e+08]: the signal is identically zero"),
+])
+def test_underflowed_signal_exits_2_with_one_line(experiment, fixture, section, key, value,
+                                                  message, tmp_path):
+    # a nonzero amplitude whose samples underflow has no log-magnitude either
+    cfg = _edited(fixture, tmp_path, section, key, value)
+    env = {k: v for k, v in os.environ.items() if k != "SUPEROSC_OUT"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "superosc", experiment, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"validation error: DegenerateDenominator: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_energy_residual_survives_large_amplitude(tmp_path, capsys):
+    # at amplitude 1e4, e_before is 4.7e17, whose ulp (64) exceeds the gap (2):
+    # e_after - e_before + gap cancelled to 0 and the residual read -1
+    cfg = _edited("energy.cfg", tmp_path, "superosc", "amplitude", "1e4")
+    rc, err = _main_err("energy", cfg, tmp_path / "out", capsys)
+    assert rc == 0, err
+    report = _record(tmp_path / "out", "energy")["payload"]["report"]
+    assert report["energy_before"] > 1e17
+    i3_over_gap = report["i3"] / report["gap_energy"]
+    assert abs(report["residual"] - i3_over_gap) <= 1e-12 * abs(i3_over_gap)
+
+
 # ----------------------------------------------------------------- sweep ----
 
 

@@ -223,11 +223,11 @@ def _whole_grid_probability(s, particle, t):
     """Reference: the same exact integral over the spline through every sample."""
     from scipy.interpolate import CubicSpline
 
-    from superosc.dynamics import _spline_amplitudes
+    from oracles import spline_amplitudes
 
     spline = CubicSpline(s.z, s.values)
-    (amp,) = _spline_amplitudes(spline, np.array([particle.gap_frequency]),
-                                particle.detector_z, np.array([t]))[0]
+    (amp,) = spline_amplitudes(spline, np.array([particle.gap_frequency]),
+                               particle.detector_z, np.array([t]))[0]
     return particle.coupling**2 * abs(amp) ** 2
 
 
@@ -278,6 +278,112 @@ def test_detector_rejects_negative_or_uncovered_times(dyn_signal, dyn_particle):
             detuning_scan(dyn_signal, [OMEGA], t)
     with pytest.raises(DomainError):
         probability_curve(dyn_signal, dyn_particle, [-1.0, 5.0])
+
+
+# ------------------------------------------------ cached detector matrix ----
+
+
+def _dyn_grid_signal(n, complex_valued=False):
+    """The dyn fixture's pair on its box sampled with n points, real or complex."""
+    from superosc.cli import _grid_from, _pair_from, _real_signal_from, _window_from
+
+    from conftest import DYN
+
+    conf = {**DYN, "grid": {**DYN["grid"], "n_samples": n,
+                            "dz": DYN["grid"]["dz"] * DYN["grid"]["n_samples"] / n}}
+    pair = _pair_from(conf)
+    if complex_valued:
+        return pair.sample(*_grid_from(conf, pair.k_max), window=_window_from(conf))
+    return _real_signal_from(conf, pair)
+
+
+def _detector_cases(dyn_pair):
+    """(signal, gaps, times) in the transition and detune regimes of the fixtures."""
+    from conftest import DYN, regime
+
+    gap = dyn_pair.wavenumber
+    tr = DYN["transition"]
+    curve_times = np.geomspace(tr["t_lo_periods"] * 2 * math.pi / gap, tr["t_hi"],
+                               tr["n_points"])
+    det = regime("detune.cfg")["detune"]
+    scan_gaps = gap * np.array([1.0, *det["probes_rel"]])
+    scan_t = det["theta_over_pi"] * math.pi / gap
+    cases = {}
+    for n in (2**15, 2**16):
+        s = _dyn_grid_signal(n)
+        cases[f"transition-{n}"] = (s, [gap], curve_times)
+        cases[f"detune-{n}"] = (s, scan_gaps, [scan_t])
+    cases["clipped-reach"] = (_near_left_edge_signal(dyn_pair), [gap],
+                              np.linspace(0.0, dyn_pair.extent, 12))
+    cases["complex-signal"] = (_dyn_grid_signal(2**15, complex_valued=True), scan_gaps,
+                               curve_times)
+    return cases
+
+
+def test_detector_matrix_matches_per_call_route(dyn_pair):
+    # W = Phi . S, its unit-sample splines fitted a block at a time, against
+    # one spline fitted on the whole reach per call
+    from superosc.dynamics import SPLINE_MARGIN, _excitation_amplitudes
+
+    from oracles import per_call_amplitudes
+
+    for name, (s, gaps, times) in _detector_cases(dyn_pair).items():
+        if name == "clipped-reach":
+            assert (-max(times) - s.z_min) / s.dz < SPLINE_MARGIN
+        probs = np.abs(_excitation_amplitudes(s, gaps, times, 0.0)) ** 2
+        refs = np.abs(per_call_amplitudes(s, gaps, times, 0.0)) ** 2
+        assert probs.shape == (len(gaps), len(times)), name
+        assert np.all(np.abs(probs - refs) <= 1e-12 * refs), name
+
+
+def test_detector_matrix_cache(dyn_signal, dyn_particle):
+    from superosc.dynamics import _detector_key, _detector_matrix, _excitation_amplitudes
+
+    gap, z0 = dyn_particle.gap_frequency, 0.0
+    times = np.array([0.0, 7.0, 30.0])
+    _detector_matrix.cache_clear()
+    first = probability_curve(dyn_signal, dyn_particle, times)
+    assert first.values[0] == 0.0  # no time, no integral: exactly 0
+    matrix = _detector_matrix(*_detector_key(dyn_signal, gap, times, z0))
+    assert not matrix.flags.writeable and not np.any(matrix[:, 0])
+    second = probability_curve(dyn_signal, dyn_particle, times)
+    assert _detector_matrix(*_detector_key(dyn_signal, gap, times, z0)) is matrix
+    assert _detector_matrix.cache_info()[:2] == (3, 1)  # (hits, misses)
+    assert np.array_equal(second.values, first.values)
+
+    # each key part makes its own entry
+    moved = with_values(dyn_signal, dyn_signal.values, z_min=dyn_signal.z_min + dyn_signal.dz)
+    finer = _dyn_grid_signal(2 * dyn_signal.n)
+    calls = {"gaps": (dyn_signal, [gap, 1.5 * gap], times, z0),
+             "times": (dyn_signal, gap, times + 1e-3, z0),
+             "reach": (dyn_signal, gap, times[:2], z0),
+             "z0": (dyn_signal, gap, times, z0 + 0.1),
+             "z_min": (moved, gap, times, z0),
+             "dz": (finer, gap, times, z0)}
+    for i, (part, args) in enumerate(calls.items(), start=2):
+        _excitation_amplitudes(*args)
+        assert _detector_matrix.cache_info()[1:] == (i, 8, i), part  # (misses, maxsize, size)
+    for args in calls.values():
+        _excitation_amplitudes(*args)
+    assert _detector_matrix.cache_info()[:2] == (3 + len(calls), 1 + len(calls))
+
+    # a refused build is never cached: the error comes on every call
+    for _ in range(2):
+        with pytest.raises(DomainError, match="overflows"):
+            _excitation_amplitudes(dyn_signal, 1e308, times, z0)
+    assert _detector_matrix.cache_info().currsize == 1 + len(calls)
+
+
+def test_oversized_detector_matrix_is_applied_block_by_block(dyn_signal, monkeypatch):
+    from superosc import dynamics
+
+    s, gaps, times = dyn_signal, [OMEGA, 2.5], np.linspace(0.0, 50.0, 48)
+    kept = dynamics._excitation_amplitudes(s, gaps, times, 0.0)
+    monkeypatch.setattr(dynamics, "MATRIX_MAX_ENTRIES", 0)
+    dynamics._detector_matrix.cache_clear()
+    streamed = dynamics._excitation_amplitudes(s, gaps, times, 0.0)
+    assert dynamics._detector_matrix.cache_info().currsize == 0
+    assert np.abs(streamed - kept).max() <= 1e-14 * np.abs(kept).max()
 
 
 # ------------------------------------------------ exact spline integral ----
@@ -355,9 +461,9 @@ def test_cubic_signal_matches_closed_form(z_min, dz, z0):
 
 def _simpson_probability(s, gap, t, per_period=512):
     """Composite Simpson on the same local spline, per_period nodes per fastest period."""
-    from superosc.dynamics import _local_spline
+    from oracles import local_spline
 
-    spline = _local_spline(s, -t, 0.0)
+    spline = local_spline(s, -t, 0.0)
     n = max(8, math.ceil(t * (gap + s.k_max) / (2 * math.pi) * per_period))
     n += n % 2
     ts = np.linspace(0.0, t, n + 1)
@@ -409,7 +515,7 @@ _T_CURVE = np.geomspace(5 * 2 * math.pi / OMEGA, 50.0, 16)
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(-40, 40))
 def test_probability_scales_as_amplitude_squared(k, dyn_signal, dyn_particle):
-    # multiplying by 2^k is exact in every step, the spline fit included
+    # multiplying by 2^k is exact in every step, the product W @ F included
     curve = probability_curve(dyn_signal, dyn_particle, _T_CURVE)
     scaled = probability_curve(with_values(dyn_signal, dyn_signal.values * 2.0**k),
                                dyn_particle, _T_CURVE)

@@ -38,6 +38,17 @@ def test_parseval_identity_huge_dynamic_range(cert_signal, cert_spectrum):
     assert parseval_residual(cert_signal, cert_spectrum) < 1e-6
 
 
+def test_parseval_residual_holds_at_amplitude_near_overflow(cert_signal, cert_spectrum):
+    # at amplitude 1e5 the samples reach 2.3e304, and scale * box_length overflowed
+    # to inf, which read as a residual of 1.0
+    from conftest import _pair_from, cert_signal_of, regime
+
+    s = cert_signal_of(_pair_from(regime("spectrum_cert.cfg", amplitude=1e5)))
+    assert s.max_abs > 1e304
+    residual = parseval_residual(s, spectrum(s, band_limit=1.0))
+    assert abs(residual - parseval_residual(cert_signal, cert_spectrum)) <= 1e-12
+
+
 def test_truncation_error_for_undecayed_boundary():
     n, dz = 2048, 0.25
     z = dz * np.arange(n)
