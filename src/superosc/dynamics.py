@@ -68,6 +68,7 @@ MIN_REL_DETUNING = 0.1  # a selectivity probe is detuned by at least this fracti
 SPLINE_MARGIN = 64  # samples kept beyond the detector's reach on each side
 BLOCK_COLUMNS = 2 * SPLINE_MARGIN  # unit samples fitted together when W is built
 MATRIX_MAX_ENTRIES = 2**20  # largest W kept (16 MiB); a larger one is applied block by block
+MIN_SINE_FIT_DET = 1e-8  # det / (s.s c.c) of the sine fit's normal equations, else collinear
 
 # Moments m_p(x) = int_0^1 u^p exp(-i x u) du, with mu_p(tau) = tau^(p+1) m_p(Omega tau).
 # Up to x = MOMENT_SWITCH a 10-point Gauss-Legendre rule is exact to rounding
@@ -253,13 +254,18 @@ def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> 
     key = _detector_key(s, gaps, times, detector_z)
     _, _, i_lo, i_hi, _, gaps, times = key
     samples = s.values[i_lo:i_hi]
-    if len(gaps) * len(times) * samples.size <= MATRIX_MAX_ENTRIES:
-        return _detector_matrix(*key) @ samples
-    # too large to keep: apply each block as it is built
-    amps = np.zeros((len(gaps), len(times)), dtype=complex)
-    for b0, block in _detector_blocks(*key):
-        amps += block @ samples[b0:b0 + block.shape[2]]
-    return amps
+    try:
+        with np.errstate(over="raise"):
+            if len(gaps) * len(times) * samples.size <= MATRIX_MAX_ENTRIES:
+                return _detector_matrix(*key) @ samples
+            # too large to keep: apply each block as it is built
+            amps = np.zeros((len(gaps), len(times)), dtype=complex)
+            for b0, block in _detector_blocks(*key):
+                amps += block @ samples[b0:b0 + block.shape[2]]
+            return amps
+    except FloatingPointError:
+        raise DomainError(f"the detector amplitude A overflows a double "
+                          f"(samples up to {s.max_abs:g})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,12 +294,23 @@ def _coupling_squared(coupling: float) -> float:
         raise DomainError(f"coupling^2 overflows a double (coupling = {coupling:g})") from None
 
 
+def _probabilities(coupling: float, amps: np.ndarray, where: str) -> np.ndarray:
+    """g^2 |A|^2, or DomainError naming P when a value overflows a double."""
+    g2 = _coupling_squared(coupling)
+    with np.errstate(over="ignore"):
+        probs = g2 * np.abs(amps) ** 2
+    if not np.all(np.isfinite(probs)):
+        raise DomainError(f"P = g^2 |A|^2 overflows a double {where} "
+                          f"(g^2 = {g2:g}, max |A| = {np.abs(amps).max():g})")
+    return probs
+
+
 def probability_curve(s: SampledSignal, particle: TwoLevelParticle, times,
                       label: str = "") -> ProbabilityCurve:
     """P on a time grid; points with P above 0.1 carry the breakdown flag."""
     times = np.asarray(times, dtype=float)
     amps = _excitation_amplitudes(s, particle.gap_frequency, times, particle.detector_z)[0]
-    values = _coupling_squared(particle.coupling) * np.abs(amps) ** 2
+    values = _probabilities(particle.coupling, amps, "on the probability curve")
     return ProbabilityCurve(times=times, values=values,
                             gap_frequency=particle.gap_frequency,
                             coupling=particle.coupling, label=label or s.label)
@@ -307,7 +324,15 @@ def monochromatic_reference(amplitude: float, t, coupling: float = 1.0):
     """
     if np.any(np.asarray(t) < 0.0):
         raise DomainError("t must be >= 0")
-    return (coupling * amplitude * t) ** 2 / 4.0
+    try:
+        with np.errstate(over="ignore"):
+            reference = (coupling * amplitude * t) ** 2 / 4.0
+    except OverflowError:  # a Python float's square raises instead
+        reference = math.inf
+    if not np.all(np.isfinite(reference)):
+        raise DomainError(f"the monochromatic reference P = (g a t)^2 / 4 overflows a double "
+                          f"(g = {coupling:g}, a = {amplitude:g})")
+    return reference
 
 
 def matched_sine_amplitude(s: SampledSignal, wavenumber: float,
@@ -315,16 +340,29 @@ def matched_sine_amplitude(s: SampledSignal, wavenumber: float,
     """Least-squares amplitude of a sin(wavenumber*z) fit over [z_lo, z_hi].
 
     The constant relating the window-interior waveform to the reference sine
-    is extracted from the samples, not assumed.
+    is extracted from the samples, not assumed.  The fit a sin + b cos solves
+    the 2x2 normal equations [[s.s, s.c], [s.c, c.c]] (a, b) = (s.g, c.g) by
+    Cramer's rule; the amplitude is hypot(a, b).  A basis whose determinant
+    is below MIN_SINE_FIT_DET of s.s c.c is collinear to rounding (as when
+    wavenumber * dz is a multiple of pi) and is refused.
     """
     i_lo, i_hi = s.index_range(z_lo, z_hi)
     if i_hi - i_lo < 8:
         raise InsufficientData("fewer than 8 samples in the fit window")
-    zw = s.z_slice(i_lo, i_hi)
+    phase = wavenumber * s.z_slice(i_lo, i_hi)
+    sine, cosine = np.sin(phase), np.cos(phase)
     gw = np.real(s.values[i_lo:i_hi])
-    basis = np.column_stack([np.sin(wavenumber * zw), np.cos(wavenumber * zw)])
-    coeff, *_ = np.linalg.lstsq(basis, gw, rcond=None)
-    return float(np.hypot(*coeff))
+    ss, sc, cc = float(sine @ sine), float(sine @ cosine), float(cosine @ cosine)
+    sg, cg = float(sine @ gw), float(cosine @ gw)
+    det = ss * cc - sc * sc
+    if not det > MIN_SINE_FIT_DET * ss * cc:
+        raise DegenerateDenominator(
+            f"sin and cos of wavenumber {wavenumber:g} z are collinear on the fit window "
+            f"[{z_lo:g}, {z_hi:g}]: the matched sine amplitude is undefined")
+    amplitude = math.hypot(sg * (cc / det) - cg * (sc / det), cg * (ss / det) - sg * (sc / det))
+    if not math.isfinite(amplitude):
+        raise DomainError("the matched sine amplitude overflows a double")
+    return amplitude
 
 
 @dataclass(frozen=True)
@@ -391,5 +429,5 @@ def detuning_scan(s: SampledSignal, gaps, t: float,
     if np.any(gaps <= 0.0):
         raise DomainError("all probe gaps must be > 0")
     amps = _excitation_amplitudes(s, gaps, t, detector_z)[:, 0]
-    probs = _coupling_squared(coupling) * np.abs(amps) ** 2
+    probs = _probabilities(coupling, amps, "in the detuning scan")
     return DetuningScan(gaps=gaps, probabilities=probs, t=t, coupling=coupling)

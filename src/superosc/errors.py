@@ -37,10 +37,6 @@ class TruncationError(SuperoscError):
     """Grid does not contain the signal well enough for the operation."""
 
 
-class InfraredError(SuperoscError):
-    """Spectral weight at the lowest mode is not integrable against 1/k."""
-
-
 class CutoffMissing(SuperoscError):
     """Operation requires an explicit UV cutoff and none was provided."""
 

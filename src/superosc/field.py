@@ -20,22 +20,65 @@ moved by c t: its mode sum is the inverse box transform of F(k) with the
 grid origin moved from z_min to z_min - c t, which ``spectral.box_irfft``
 applies by the DFT shift theorem instead of a second phase ramp
 exp(-i omega t).
+
+Caching: every per-mode weight depends on (L, n_modes) alone, and
+``_mode_tables``, a bounded LRU cache keyed by (box_length, n_modes) with
+maxsize 4, holds them read-only: the wavenumbers k_n (``ModeGrid.wavenumbers``
+is this array), i sqrt(L / (2 pi omega_k)), its inverse -i sqrt(2 pi omega_k
+/ L), and the trapezoid steps diff(k).  An entry takes 48 bytes per mode:
+1.5 MiB on the 2^16-sample dyn grid (32 767 modes), 384 MiB at the
+2^24-sample grid limit.  A grid builds its tables on first use, so one that
+only carries (L, uv_cutoff) to ``energy.compute_I3`` builds none.  With
+them, the amplitudes and F(k) on the lattice cost one complex product per
+mode, ``expectation_B`` writes that product straight into the irfft half,
+and ``energy_before``'s two trapezoids take the cached steps; each keeps the
+rounding of the expressions it replaced.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfraredError, TruncationError
+from .errors import DomainError, TruncationError
 from .params import MAX_COUNT
 from .signal import SampledSignal
 from .spectral import SpectralDensity, box_irfft
 
 ENERGY_ROUTE_TOL = 1e-8
+
+
+class _ModeTables(NamedTuple):
+    """Read-only per-mode arrays of the box (L, n_modes); omega = k as c = 1."""
+
+    k: np.ndarray         # (2 pi / L) * arange(1, n_modes + 1)
+    to_alpha: np.ndarray  # 1j * sqrt(L / (2 pi omega)): F(k) -> alpha
+    to_f: np.ndarray      # -1j * sqrt(2 pi omega / L): alpha -> F(k)
+    steps: np.ndarray     # diff(k), the trapezoid's steps
+
+
+@functools.lru_cache(maxsize=4)
+def _mode_tables(box_length: float, n_modes: int) -> _ModeTables:
+    k = 2.0 * math.pi / box_length * np.arange(1, n_modes + 1)
+    tables = _ModeTables(k=k,
+                         to_alpha=1j * np.sqrt(box_length / (2.0 * math.pi * k)),
+                         to_f=-1j * np.sqrt(2.0 * math.pi * k / box_length),
+                         steps=np.diff(k))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
+    """np.trapezoid(y, k) for steps = diff(k), in its order of operations, in place."""
+    total = np.add(y[1:], y[:-1])
+    total *= steps
+    total /= 2.0
+    return float(total.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,22 +88,27 @@ class ModeGrid:
     box_length: float
     n_modes: int
     uv_cutoff: float | None = None
-    wavenumbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.box_length > 0.0 and math.isfinite(self.box_length)):
             raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
         if not 1 <= self.n_modes <= MAX_COUNT:
             raise ValueError(f"n_modes = {self.n_modes} outside [1, {MAX_COUNT}]")
-        k = self.dk * np.arange(1, self.n_modes + 1)
         if self.uv_cutoff is not None:
             if not math.isfinite(self.uv_cutoff):
                 raise ValueError(f"uv_cutoff must be finite, got {self.uv_cutoff}")
             if self.uv_cutoff <= 0.0:
                 raise ValueError("uv_cutoff must be positive")
-            if k[-1] > self.uv_cutoff:
+            if self.dk * self.n_modes > self.uv_cutoff:  # the top wavenumber, bit for bit
                 raise ValueError("mode lattice extends beyond the UV cutoff")
-        object.__setattr__(self, "wavenumbers", k)
+
+    @property
+    def _tables(self) -> _ModeTables:
+        return _mode_tables(self.box_length, self.n_modes)
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return self._tables.k
 
     @property
     def dk(self) -> float:
@@ -119,26 +167,25 @@ class CoherentAmplitudes:
 
     def spectral_values(self) -> np.ndarray:
         """F(k) on the mode lattice, inverted from the amplitudes."""
-        return -1j * self.alpha * np.sqrt(2.0 * math.pi * self.grid.omega / self.grid.box_length)
+        return self.alpha * self.grid._tables.to_f
 
 
 def amplitudes_from_spectrum(sd: SpectralDensity, grid: ModeGrid) -> CoherentAmplitudes:
     """alpha_k = i sqrt(L/(2 pi omega_k)) F(k_n) on the mode lattice.
 
-    Mode n is spectral bin n // 2 + n of the signed-k grid, whose k = 0 bin
-    sits at n_samples // 2.
+    Mode n is bin j = n of the transform, ``transform[n]`` in both of its
+    layouts; the lattice must stay below Nyquist, n <= (n_samples - 1) // 2.
     """
     if not math.isclose(sd.dk, grid.dk, rel_tol=1e-9):
         raise TruncationError(
             f"spectral spacing {sd.dk} does not match mode spacing {grid.dk}"
         )
-    first = sd.n_samples // 2 + 1
-    if first + grid.n_modes > sd.n_samples:
+    if grid.n_modes > (sd.n_samples - 1) // 2:
         raise TruncationError("mode lattice not covered by the spectral grid")
-    f_k = sd.values[first:first + grid.n_modes]
-    alpha = 1j * np.sqrt(grid.box_length / (2.0 * math.pi * grid.omega)) * f_k
-    if not np.all(np.isfinite(alpha)):
-        raise InfraredError("divergent amplitude on the lowest modes")
+    with np.errstate(over="ignore"):
+        alpha = grid._tables.to_alpha * sd.transform[1:grid.n_modes + 1]
+    if not np.all(np.isfinite(alpha)):  # k >= 2 pi / L: only an overflow makes one infinite
+        raise DomainError("a coherent amplitude alpha overflows a double")
     return CoherentAmplitudes(grid=grid, alpha=alpha, z_min=sd.z_min, dz=sd.dz,
                               n_samples=sd.n_samples)
 
@@ -153,7 +200,7 @@ def expectation_B(ca: CoherentAmplitudes, t: float = 0.0) -> np.ndarray:
     if 2 * m >= n:
         raise TruncationError("mode lattice reaches the Nyquist wavenumber of the grid")
     half = np.zeros(n // 2 + 1, dtype=complex)
-    half[1:m + 1] = ca.spectral_values()
+    np.multiply(ca.alpha, ca.grid._tables.to_f, out=half[1:m + 1])  # spectral_values()
     # irfft supplies the k < 0 half as the conjugate mirror of the modes
     return box_irfft(half, ca.z_min - t, ca.dz, n)
 
@@ -175,14 +222,18 @@ def energy_before(ca: CoherentAmplitudes) -> EnergyBefore:
     spectral density, the other from photon occupations, so their agreement
     checks the amplitude map's normalization.
     """
-    f_k = ca.spectral_values()
-    L = ca.grid.box_length
-    spectral = (L**2 / (4.0 * math.pi**2)) * float(
-        np.trapezoid(np.abs(f_k) ** 2, ca.grid.wavenumbers)
-    )
-    mode_sum = (L / (2.0 * math.pi)) * float(
-        np.trapezoid(ca.grid.omega * ca.mean_photon_numbers, ca.grid.wavenumbers)
-    )
+    L, tables = ca.grid.box_length, ca.grid._tables
+    with np.errstate(over="ignore"):  # an overflow is refused below, by its sums
+        density = np.abs(ca.spectral_values())
+        np.square(density, out=density)
+        spectral = (L**2 / (4.0 * math.pi**2)) * _trapezoid(density, tables.steps)
+        weighted = np.abs(ca.alpha)  # omega |alpha|^2, as omega * mean_photon_numbers
+        np.square(weighted, out=weighted)
+        np.multiply(tables.k, weighted, out=weighted)
+        mode_sum = (L / (2.0 * math.pi)) * _trapezoid(weighted, tables.steps)
+    if not (math.isfinite(spectral) and math.isfinite(mode_sum)):
+        raise DomainError(f"the field energy overflows a double (spectral route {spectral:g}, "
+                          f"mode-sum route {mode_sum:g})")
     if mode_sum > 0.0 and abs(spectral - mode_sum) > ENERGY_ROUTE_TOL * mode_sum:
         raise ValueError(
             f"energy routes disagree: spectral {spectral!r} vs mode sum {mode_sum!r}"

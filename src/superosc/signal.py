@@ -9,6 +9,13 @@ positions: ``z`` is built from z[i] = z_min + dz * i on first use only.
 Readers of a window take its index range from ``index_range``, which bisects
 that formula with the comparisons of the mask z_lo <= z <= z_hi and so
 selects the same samples, and build only those positions with ``z_slice``.
+
+``max_abs`` is taken once, at construction: the one abs-max pass over the
+samples is also the finite check, because a NaN or an infinity carries into
+the max.  Only a max that is not finite sends the samples through
+``isfinite``, so a finite complex sample whose modulus overflows is kept,
+with ``max_abs`` = inf.  The samples are not copied, so writing into
+``values`` after construction leaves ``max_abs`` stale.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +40,7 @@ class SampledSignal:
     values: np.ndarray
     k_max: float
     label: str = ""
+    max_abs: float = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -47,9 +55,11 @@ class SampledSignal:
                 f"grid underresolved: dz = {self.dz:.4g} exceeds "
                 f"pi/(4*k_max) = {max_dz(self.k_max):.4g}"
             )
-        if not np.all(np.isfinite(vals)):
+        max_abs = float(np.abs(vals).max())  # NaN and inf carry into the max
+        if not math.isfinite(max_abs) and not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite samples")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "max_abs", max_abs)
 
     @property
     def n(self) -> int:
@@ -92,10 +102,6 @@ class SampledSignal:
     @property
     def real_valued(self) -> bool:
         return not np.iscomplexobj(self.values)
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
 
     def index_of(self, z: float) -> int:
         """Nearest grid index; raises if z is outside the grid."""

@@ -13,6 +13,13 @@ samples by m, the second a ramp whose argument stays below pi/2 (signed j),
 and absent on grids whose origin is a whole number of samples.  A real
 signal is transformed by ``rfft``; its negative-k half is the exact
 conjugate mirror of the positive one, so its spectrum is exactly Hermitian.
+
+A ``SpectralDensity`` stores the transform as ``box_fft`` returns it, with
+the sample count: the rfft half (j = 0 .. n // 2) for a real signal, the
+full fft in numpy's order of signed j for a complex one.  Bins j = 1 .. m
+are ``transform[1:m + 1]`` in both layouts, which is all the mode
+amplitudes read.  ``values``, the transform over signed j in ascending
+order, mirrors or shifts it and is built only when read, like ``k``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 from .signal import SampledSignal
 
 BOUNDARY_DECAY = 1e-6
@@ -35,20 +42,39 @@ EPS_BAND_DEFAULT = 1e-4
 class SpectralDensity:
     """Box transform of n samples at z_min + p dz, on k_j = 2 pi j / (n dz).
 
+    ``transform`` is ``box_fft``'s output for the n_samples samples: the
+    rfft half when it holds fewer than n_samples bins, else the full fft.
+    (At n = 2 both have two bins; ``spectrum`` then passes only the zero
+    signal, on which they agree.)
     ``values`` runs over signed j in ascending order (``fftshift`` order), so
-    k = 0 sits at index n // 2; ``k`` is derived from the box, never stored
-    independently of it.
+    k = 0 sits at index n // 2; it and ``k`` are derived on first read, never
+    stored independently of the transform and the box.
     """
 
-    values: np.ndarray
+    transform: np.ndarray
+    n_samples: int
     band_limit: float
     eps_band: float
     z_min: float
     dz: float
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.size
+    def _signed_order(self, bins: np.ndarray) -> np.ndarray:
+        """Per-bin ``bins`` of the transform's layout, over signed j ascending.
+
+        The rfft half's negative j are its positive ones reversed; ``values``
+        conjugates them, real magnitudes need no conjugate.
+        """
+        n = self.n_samples
+        if bins.size == n:
+            return np.fft.fftshift(bins)
+        mirror = bins[:0:-1]
+        if np.iscomplexobj(bins):
+            mirror = np.conj(mirror)
+        return np.concatenate([mirror, bins[:n - n // 2]])
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._signed_order(self.transform)
 
     @functools.cached_property
     def k(self) -> np.ndarray:
@@ -69,15 +95,19 @@ class SpectralDensity:
 
         The band is one contiguous run of bins, found by bisecting the
         monotone ``k_at`` with the comparisons of the mask k >= k_lo and
-        k <= k_hi, and summed as a slice; ``k`` is not built.
+        k <= k_hi, and summed as a slice; ``k`` and ``values`` are not built.
+        The magnitudes are put in signed order before they are scaled and
+        squared in place, so the sums see the values, in the order, of
+        |values| / max |values| squared.
         """
-        mag = np.abs(self.values)
-        if mag.max() == 0.0:
+        energy = self._signed_order(np.abs(self.transform))
+        top = energy.max()
+        if top == 0.0:
             return 1.0  # vacuum spectrum is trivially confined
         if not k_lo <= k_hi:  # also a NaN edge: the mask is empty
             return 0.0
-        scaled = mag / mag.max()
-        energy = scaled**2
+        energy /= top
+        np.square(energy, out=energy)
         j = range(-(self.n_samples // 2), self.n_samples - self.n_samples // 2)
         band = energy[bisect.bisect_left(j, k_lo, key=self.k_at):
                       bisect.bisect_right(j, k_hi, key=self.k_at)]
@@ -138,13 +168,14 @@ def spectrum(s: SampledSignal, band_limit: float,
             f"{BOUNDARY_DECAY:.0e}: box does not contain the signal"
         )
     n = s.n
-    transform = box_fft(v, s.z_min, s.dz)
-    if s.real_valued:  # negative k: the conjugate mirror of the rfft half
-        transform = np.concatenate([np.conj(transform[:0:-1]), transform[:n - n // 2]])
-    else:
-        transform = np.fft.fftshift(transform)
-    sd = SpectralDensity(values=transform, band_limit=band_limit, eps_band=eps_band,
-                         z_min=s.z_min, dz=s.dz)
+    try:
+        with np.errstate(over="raise"):
+            transform = box_fft(v, s.z_min, s.dz)
+    except FloatingPointError:
+        raise DomainError(f"the spectrum of samples up to {s.max_abs:g} "
+                          "overflows a double") from None
+    sd = SpectralDensity(transform=transform, n_samples=n, band_limit=band_limit,
+                         eps_band=eps_band, z_min=s.z_min, dz=s.dz)
     if sd.k_at(-(n // 2)) > -band_limit or sd.k_at((n - 1) // 2) < 2.0 * band_limit:
         raise TruncationError("k grid does not cover [-k0, 2 k0]; refine dz")
     return sd

@@ -24,6 +24,16 @@ computes another way:
   chains the two.  Against the cached detector matrix of
   ``dynamics._excitation_amplitudes``.
 
+* ``mirrored_spectrum``, ``lattice_amplitudes``, ``lattice_expectation_B``
+  and ``lattice_energy_routes`` -- the spectral chain as it was written
+  before the per-box mode tables: the conjugate mirror of the rfft half
+  concatenated into a signed-k array, and sqrt(L / (2 pi omega)), its
+  inverse, the wavenumbers and diff(k) rebuilt on every call.  Against the
+  cached tables of ``field``, bit for bit;
+* ``lstsq_sine_amplitude`` -- the matched sine amplitude from
+  ``np.linalg.lstsq`` on the n x 2 sin/cos basis, against the closed-form
+  normal equations of ``dynamics.matched_sine_amplitude``.
+
 ``growth_region`` only picks test points.
 """
 
@@ -39,6 +49,7 @@ from superosc.dynamics import SPLINE_MARGIN, _moments
 from superosc.errors import DomainError, OverflowRegime, QuadratureNoConvergence
 from superosc.field import CoherentAmplitudes
 from superosc.quadrature import QuadResult
+from superosc.spectral import SpectralDensity, box_irfft
 from superosc.synthesis import INTEGRAL_REL_TARGET, LOG_DOUBLE_MAX, _radicand
 
 
@@ -239,3 +250,54 @@ def per_call_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> np.
     times = np.atleast_1d(np.asarray(times, dtype=float))
     spline = local_spline(s, detector_z - float(times.max()), detector_z)
     return spline_amplitudes(spline, gaps, detector_z, times)
+
+
+def mirrored_spectrum(sd: SpectralDensity) -> np.ndarray:
+    """The spectrum over signed k ascending: the rfft half's conjugate mirror, or fftshift."""
+    t, n = sd.transform, sd.n_samples
+    if t.size == n:
+        return np.fft.fftshift(t)
+    return np.concatenate([np.conj(t[:0:-1]), t[:n - n // 2]])
+
+
+def _lattice_k(box_length: float, n_modes: int) -> np.ndarray:
+    return 2.0 * math.pi / box_length * np.arange(1, n_modes + 1)
+
+
+def lattice_amplitudes(sd: SpectralDensity, box_length: float, n_modes: int) -> np.ndarray:
+    """alpha_k = i sqrt(L/(2 pi omega_k)) F(k_n), read off the signed-k spectrum."""
+    first = sd.n_samples // 2 + 1
+    f_k = mirrored_spectrum(sd)[first:first + n_modes]
+    return 1j * np.sqrt(box_length / (2.0 * math.pi * _lattice_k(box_length, n_modes))) * f_k
+
+
+def _lattice_f(alpha: np.ndarray, box_length: float) -> np.ndarray:
+    k = _lattice_k(box_length, alpha.size)
+    return -1j * alpha * np.sqrt(2.0 * math.pi * k / box_length)
+
+
+def lattice_expectation_B(alpha: np.ndarray, box_length: float, z_min: float, dz: float,
+                          n: int, t: float = 0.0) -> np.ndarray:
+    """B on the sample grid at time t: F(k) of the modes in an irfft half."""
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[1:alpha.size + 1] = _lattice_f(alpha, box_length)
+    return box_irfft(half, z_min - t, dz, n)
+
+
+def lattice_energy_routes(alpha: np.ndarray, box_length: float) -> tuple[float, float]:
+    """(spectral, mode-sum) field energy by ``np.trapezoid`` over the wavenumbers."""
+    L, k = box_length, _lattice_k(box_length, alpha.size)
+    spectral = (L**2 / (4.0 * math.pi**2)) * float(
+        np.trapezoid(np.abs(_lattice_f(alpha, L)) ** 2, k))
+    mode_sum = (L / (2.0 * math.pi)) * float(np.trapezoid(k * np.abs(alpha) ** 2, k))
+    return spectral, mode_sum
+
+
+def lstsq_sine_amplitude(s: SampledSignal, wavenumber: float, z_lo: float,
+                         z_hi: float) -> float:
+    """hypot(a, b) of the least-squares a sin + b cos over the samples in [z_lo, z_hi]."""
+    i_lo, i_hi = s.index_range(z_lo, z_hi)
+    zw = s.z_slice(i_lo, i_hi)
+    basis = np.column_stack([np.sin(wavenumber * zw), np.cos(wavenumber * zw)])
+    coeff, *_ = np.linalg.lstsq(basis, np.real(s.values[i_lo:i_hi]), rcond=None)
+    return float(np.hypot(*coeff))

@@ -564,6 +564,25 @@ def test_overflowing_square_is_named(fixture, experiment, section, key, value, q
     assert err.startswith(f"validation error: DomainError: {quantity} overflows a double")
 
 
+@pytest.mark.parametrize("experiment,amplitude,quantity", [
+    ("transition", "1e250", "P = g^2 |A|^2 overflows a double on the probability curve"),
+    ("detune", "1e250", "P = g^2 |A|^2 overflows a double in the detuning scan"),
+    ("energy", "1e250", "the field energy overflows a double"),
+    ("energy", "1e305", "a coherent amplitude alpha overflows a double"),
+    ("energy", "1e307", "the spectrum of samples up to"),
+    ("detune", "1e307", "the detector amplitude A overflows a double"),
+])
+def test_overflowing_amplitude_exits_2_with_one_line(experiment, amplitude, quantity,
+                                                     tmp_path, capsys):
+    # the pair stages are linear in the amplitude, so P and the field energy scale as a^2;
+    # RuntimeWarning is an error here, so a warning on the way would fail the run
+    cfg = _edited(f"{experiment}.cfg", tmp_path, "superosc", "amplitude", amplitude)
+    rc, err = _main_err(experiment, cfg, tmp_path / "out", capsys)
+    assert rc == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"validation error: DomainError: {quantity}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_records_zero_amplitude_point_and_goes_on(tmp_path, capsys):
     cfg = _edited("sweep_boost_ladder.cfg", tmp_path, "sweep", "amplitude", "list:0,1")
     rc, err = _main_err("sweep", cfg, tmp_path, capsys)

@@ -15,9 +15,11 @@ from superosc import (
     monochromatic_reference,
     probability_curve,
 )
-from superosc.errors import DomainError, InsufficientData
+from superosc.cli import _pair_from, _real_signal_from, _resolve_gap
+from superosc.errors import DegenerateDenominator, DomainError, InsufficientData
 
-from conftest import with_values
+from conftest import regime, with_values
+from oracles import lstsq_sine_amplitude
 
 OMEGA = 2.0
 
@@ -90,6 +92,54 @@ def test_superosc_matches_sine_reference(dyn_signal, dyn_particle, dyn_pair):
 def test_matched_amplitude_recovers_sine():
     s = _sine_signal(amplitude=0.37)
     assert matched_sine_amplitude(s, OMEGA, -50.0, 0.0) == pytest.approx(0.37, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def energy_window():
+    conf = regime("energy.cfg")
+    pair = _pair_from(conf)
+    return _real_signal_from(conf, pair), _resolve_gap(conf, pair), (-pair.extent, 0.0)
+
+
+def test_closed_form_sine_fit_matches_lstsq(dyn_signal, dyn_pair, energy_window):
+    s_energy, gap_energy, window_energy = energy_window
+    z8 = dyn_signal.z_at(dyn_signal.index_of(-3.0))
+    windows = [(dyn_signal, OMEGA, (-dyn_pair.extent, 0.0)),  # the transition fit
+               (s_energy, gap_energy, window_energy),  # the energy ledger's fit
+               (dyn_signal, OMEGA, (z8, z8 + 7.5 * dyn_signal.dz)),  # 8 samples
+               (_sine_signal(amplitude=0.37), OMEGA, (-50.0, 0.0)),
+               (_sine_signal(amplitude=0.37), 1.7, (-50.0, 0.0))]  # off the signal's wavenumber
+    for s, k, (z_lo, z_hi) in windows:
+        ref = lstsq_sine_amplitude(s, k, z_lo, z_hi)
+        assert ref > 0.0
+        assert abs(matched_sine_amplitude(s, k, z_lo, z_hi) - ref) <= 1e-13 * ref
+    i_lo, i_hi = dyn_signal.index_range(z8, z8 + 7.5 * dyn_signal.dz)
+    assert i_hi - i_lo == 8
+
+
+def test_sine_fit_refuses_collinear_basis():
+    s = _sine_signal()
+    # wavenumber * dz = pi: sin and cos alternate in sign together; 2 pi: both constant
+    for wavenumber in (math.pi / s.dz, 2.0 * math.pi / s.dz):
+        with pytest.raises(DegenerateDenominator, match="collinear"):
+            matched_sine_amplitude(s, wavenumber, -50.0, 0.0)
+
+
+def test_overflowing_probabilities_are_named(dyn_signal, dyn_particle):
+    loud = with_values(dyn_signal, dyn_signal.values * 1e250)
+    with pytest.raises(DomainError, match=r"^P = g\^2 \|A\|\^2 overflows a double on the"):
+        probability_curve(loud, dyn_particle, [1.0, 50.0])
+    with pytest.raises(DomainError, match=r"^P = g\^2 \|A\|\^2 overflows a double in the"):
+        detuning_scan(loud, [OMEGA, 1.2 * OMEGA], 50.0)
+    louder = with_values(dyn_signal, dyn_signal.values / dyn_signal.max_abs * 1e308)
+    with pytest.raises(DomainError, match="^the detector amplitude A overflows a double"):
+        detuning_scan(louder, [OMEGA, 1.2 * OMEGA], 50.0)
+
+
+@pytest.mark.parametrize("t", [1e10, np.array([1.0, 1e10])])
+def test_overflowing_monochromatic_reference_is_named(t):
+    with pytest.raises(DomainError, match="^the monochromatic reference P"):
+        monochromatic_reference(1e200, t)
 
 
 def test_fit_exponent_exact_quadratic():

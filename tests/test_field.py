@@ -13,12 +13,15 @@ from superosc import (
     spectrum,
 )
 from superosc.errors import TruncationError
-from superosc.field import CoherentAmplitudes
+from superosc import make_real_superosc
+from superosc.cli import _grid_from, _resolve_gap, _window_from
+from superosc.field import CoherentAmplitudes, _mode_tables
 from superosc.params import MAX_COUNT
 from superosc.spectral import box_fft
 
-from conftest import with_values
-from oracles import mode_sum_B
+from conftest import DYN, with_values
+from oracles import (lattice_amplitudes, lattice_energy_routes, lattice_expectation_B,
+                     mode_sum_B)
 
 
 def _windowed_wave(fn, k1=0.5, kappa=0.01, n=2**13, dz=0.25):
@@ -63,6 +66,67 @@ def test_mode_grid_refuses_lattice_beyond_uv_cutoff():
         ModeGrid(box_length=1000.0, n_modes=101, uv_cutoff=100 * dk * (1 + 1e-12))
     with pytest.raises(ValueError, match="uv_cutoff"):
         ModeGrid(box_length=1000.0, n_modes=1, uv_cutoff=0.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("box,n", [(1000.0, 100), (10000.0, 2**15 - 1), (2.0**-3 * 4095, 2047)])
+def test_mode_tables_are_the_lattice_bit_for_bit(box, n):
+    g = ModeGrid(box_length=box, n_modes=n)
+    k = (2.0 * math.pi / box) * np.arange(1, n + 1)
+    assert _same_bits(g.wavenumbers, k)
+    assert g.dk * n == k[-1]  # the UV-cutoff check's top wavenumber
+    tables = _mode_tables(box, n)
+    assert g.wavenumbers is tables.k
+    assert _same_bits(tables.to_alpha, 1j * np.sqrt(box / (2.0 * math.pi * k)))
+    assert _same_bits(tables.to_f, -1j * np.sqrt(2.0 * math.pi * k / box))
+    assert _same_bits(tables.steps, np.diff(k))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_mode_tables_cached_per_box():
+    misses = _mode_tables.cache_info().misses
+    ModeGrid.for_box(1e7, k_cut=2.0, uv_cutoff=50.0)  # 3.2 million modes, never read
+    assert _mode_tables.cache_info().misses == misses
+    first = ModeGrid(box_length=1234.5, n_modes=321)
+    again = ModeGrid(box_length=1234.5, n_modes=321, uv_cutoff=10.0)
+    assert all(a is b for a, b in zip(first._tables, again._tables))
+    misses = _mode_tables.cache_info().misses
+    other = ModeGrid(box_length=1234.25, n_modes=321)
+    assert other.wavenumbers[0] != first.wavenumbers[0]
+    assert _mode_tables.cache_info().misses == misses + 1
+    assert not any(a is b for a, b in zip(first._tables, other._tables))
+
+
+@pytest.fixture(scope="module")
+def dyn_signal_2_16(dyn_pair):
+    z_min, dz, n = _grid_from(DYN, dyn_pair.k_max)
+    return make_real_superosc(dyn_pair, _resolve_gap(DYN, dyn_pair), z_min, dz / 2, 2 * n,
+                              window=_window_from(DYN), label="dyn")
+
+
+@pytest.mark.parametrize("which", ["dyn 2^15", "dyn 2^16", "odd n"])
+def test_spectral_chain_matches_per_call_expressions_bit_for_bit(which, dyn_signal,
+                                                                  dyn_signal_2_16):
+    s = {"dyn 2^15": dyn_signal, "dyn 2^16": dyn_signal_2_16,
+         "odd n": _windowed_wave(np.sin, kappa=0.02, n=4095)}[which]
+    sd = spectrum(s, band_limit=1.0)
+    grid = ModeGrid.for_signal(s)
+    ca = amplitudes_from_spectrum(sd, grid)
+    alpha = lattice_amplitudes(sd, grid.box_length, grid.n_modes)
+    assert _same_bits(ca.alpha, alpha)
+    for t in (0.0, 3.7):
+        assert _same_bits(expectation_B(ca, t),
+                          lattice_expectation_B(alpha, grid.box_length, s.z_min, s.dz, s.n, t))
+    routes = energy_before(ca)
+    assert _same_bits(np.array(routes), np.array(lattice_energy_routes(alpha, grid.box_length)))
+    assert "values" not in vars(sd) and "k" not in vars(sd)
 
 
 # ------------------------------------------------------ mode channels ----
@@ -116,7 +180,7 @@ def test_fourier_coeffs_refuses_nyquist_mode(n):
     z = -4.0 + dz * np.arange(n)
     values = np.cos(2 * math.pi * top * z / box)
     # the wave never decays, so ``spectrum`` would refuse the box: transform it directly
-    sd = SpectralDensity(values=np.fft.fftshift(box_fft(values.astype(complex), -4.0, dz)),
+    sd = SpectralDensity(transform=box_fft(values.astype(complex), -4.0, dz), n_samples=n,
                          band_limit=1.0, eps_band=1e-4, z_min=-4.0, dz=dz)
     grid = ModeGrid(box_length=box, n_modes=top)
     if n % 2 == 0:
@@ -135,8 +199,8 @@ def test_fourier_coeffs_refuses_nyquist_mode(n):
 def test_vacuum_amplitudes():
     s = _windowed_wave(np.sin)
     sd = spectrum(s, band_limit=1.0)
-    sd_zero = type(sd)(values=np.zeros_like(sd.values), band_limit=1.0, eps_band=sd.eps_band,
-                       z_min=sd.z_min, dz=sd.dz)
+    sd_zero = type(sd)(transform=np.zeros_like(sd.transform), n_samples=sd.n_samples,
+                       band_limit=1.0, eps_band=sd.eps_band, z_min=sd.z_min, dz=sd.dz)
     grid = ModeGrid.for_signal(s)
     ca = amplitudes_from_spectrum(sd_zero, grid)
     assert np.all(ca.alpha == 0.0)

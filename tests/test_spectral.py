@@ -9,6 +9,8 @@ from superosc import (ModeGrid, SampledSignal, SpectralDensity, WindowSpec,
 from superosc.errors import TruncationError
 from superosc.spectral import box_fft, box_irfft
 
+from oracles import mirrored_spectrum
+
 
 def _gaussian_cos(k1=0.5, kappa=0.01, n=2**13, dz=0.25):
     z = -n * dz / 2 + dz * np.arange(n)
@@ -66,8 +68,8 @@ def test_k_grid_covers_band(cert_spectrum):
 @pytest.mark.parametrize("n", [512, 513, 2**15])
 @pytest.mark.parametrize("dz", [0.25, 0.30517578125, 0.152587890625, 0.1953125])
 def test_k_scalars_equal_the_k_array(n, dz):
-    sd = SpectralDensity(values=np.zeros(n, dtype=complex), band_limit=1.0, eps_band=1e-4,
-                         z_min=0.0, dz=dz)
+    sd = SpectralDensity(transform=np.zeros(n, dtype=complex), n_samples=n, band_limit=1.0,
+                         eps_band=1e-4, z_min=0.0, dz=dz)
     half = n // 2
     assert sd.dk == float(sd.k[1] - sd.k[0])
     assert sd.k_at(-half) == sd.k[0] and sd.k_at((n - 1) // 2) == sd.k[-1]
@@ -80,6 +82,33 @@ def test_dyn_spectrum_builds_no_k_array(dyn_signal):
     parseval_residual(dyn_signal, sd)
     sd.band_energy_fraction(-0.005, sd.band_limit + 0.005)
     assert "k" not in vars(sd)
+
+
+def test_real_spectrum_keeps_the_rfft_half(dyn_signal):
+    sd = spectrum(dyn_signal, band_limit=1.0)
+    n = dyn_signal.n
+    assert sd.n_samples == n and sd.transform.size == n // 2 + 1
+    assert np.array_equal(sd.transform, box_fft(dyn_signal.values, sd.z_min, sd.dz))
+    sd.band_energy_fraction(-0.005, sd.band_limit + 0.005)
+    assert "values" not in vars(sd)
+    assert np.array_equal(sd.values, mirrored_spectrum(sd))
+
+
+@pytest.mark.parametrize("n", [511, 512])
+def test_values_in_signed_order_for_either_layout(n):
+    rng = np.random.default_rng(n)
+    z0, dz = -64.1, 0.25
+    real = rng.standard_normal(n)
+    half = SpectralDensity(transform=box_fft(real, z0, dz), n_samples=n, band_limit=1.0,
+                           eps_band=1e-4, z_min=z0, dz=dz)
+    full = SpectralDensity(transform=box_fft(real.astype(complex), z0, dz), n_samples=n,
+                           band_limit=1.0, eps_band=1e-4, z_min=z0, dz=dz)
+    # the mirrored half and the shifted full transform agree to rounding
+    assert np.abs(half.values - full.values).max() <= 1e-12 * np.abs(full.values).max()
+    assert np.array_equal(half.values, mirrored_spectrum(half))
+    assert np.array_equal(full.values, np.fft.fftshift(full.transform))
+    for sd in (half, full):
+        assert sd.band_energy_fraction(-0.5, 0.7) == _masked_band_fraction(sd, -0.5, 0.7)
 
 
 def test_certificate_band_confinement(cert_spectrum):
@@ -100,8 +129,8 @@ def _masked_band_fraction(sd, k_lo, k_hi):
 def test_band_slice_matches_mask_bitwise(n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sd = SpectralDensity(values=values, band_limit=1.0, eps_band=1e-4, z_min=0.0,
-                         dz=0.30517578125)
+    sd = SpectralDensity(transform=np.fft.ifftshift(values), n_samples=n, band_limit=1.0,
+                         eps_band=1e-4, z_min=0.0, dz=0.30517578125)
     k = sd.k
     on_grid = rng.choice(k, size=(100, 2))  # edges exactly on a k value
     bands = [tuple(sorted(pair)) for pair in on_grid]
