@@ -254,18 +254,18 @@ def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> 
     key = _detector_key(s, gaps, times, detector_z)
     _, _, i_lo, i_hi, _, gaps, times = key
     samples = s.values[i_lo:i_hi]
-    try:
-        with np.errstate(over="raise"):
-            if len(gaps) * len(times) * samples.size <= MATRIX_MAX_ENTRIES:
-                return _detector_matrix(*key) @ samples
-            # too large to keep: apply each block as it is built
+    # BLAS need not raise the overflow flag, so A itself is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(gaps) * len(times) * samples.size <= MATRIX_MAX_ENTRIES:
+            amps = _detector_matrix(*key) @ samples
+        else:  # too large to keep: apply each block as it is built
             amps = np.zeros((len(gaps), len(times)), dtype=complex)
             for b0, block in _detector_blocks(*key):
                 amps += block @ samples[b0:b0 + block.shape[2]]
-            return amps
-    except FloatingPointError:
+    if not np.isfinite(amps).all():
         raise DomainError(f"the detector amplitude A overflows a double "
-                          f"(samples up to {s.max_abs:g})") from None
+                          f"(samples up to {s.max_abs:g})")
+    return amps
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,9 +98,16 @@ class SpectralDensity:
         k <= k_hi, and summed as a slice; ``k`` and ``values`` are not built.
         The magnitudes are put in signed order before they are scaled and
         squared in place, so the sums see the values, in the order, of
-        |values| / max |values| squared.
+        |values| / max |values| squared.  A full transform is shifted as its
+        magnitudes are taken, with no shifted copy.
         """
-        energy = self._signed_order(np.abs(self.transform))
+        t = self.transform
+        if t.size == self.n_samples:
+            energy = np.empty(t.size)
+            for src, dst in _roll_pairs(t, energy, t.size // 2):
+                np.abs(src, out=dst)
+        else:
+            energy = self._signed_order(np.abs(t))
         top = energy.max()
         if top == 0.0:
             return 1.0  # vacuum spectrum is trivially confined
@@ -112,6 +119,18 @@ class SpectralDensity:
         band = energy[bisect.bisect_left(j, k_lo, key=self.k_at):
                       bisect.bisect_right(j, k_hi, key=self.k_at)]
         return float(band.sum() / energy.sum())
+
+
+def _roll_pairs(x: np.ndarray, out: np.ndarray, shift: int):
+    """Two (source, destination) slice pairs; copying each source into its
+    destination makes out = np.roll(x, shift).
+
+    So a ufunc can write a rolled result straight into ``out``, with no
+    rolled copy.
+    """
+    n = x.size
+    s = shift % n
+    return (x[:n - s], out[s:]), (x[n - s:], out[:s])
 
 
 def _origin_shift(z0: float, dz: float) -> tuple[int, float]:
@@ -132,7 +151,10 @@ def box_fft(values: np.ndarray, z0: float, dz: float) -> np.ndarray:
     n = values.size
     m, f = _origin_shift(z0, dz)
     full = np.iscomplexobj(values)
-    out = (np.fft.fft if full else np.fft.rfft)(np.roll(values, m))
+    rolled = np.empty_like(values)
+    for src, dst in _roll_pairs(values, rolled, m):
+        dst[...] = src
+    out = (np.fft.fft if full else np.fft.rfft)(rolled)
     if f:
         out *= np.exp(-2j * np.pi * f * (np.fft.fftfreq(n) if full else np.fft.rfftfreq(n)))
     out *= dz
@@ -148,8 +170,10 @@ def box_irfft(half: np.ndarray, z0: float, dz: float, n: int) -> np.ndarray:
     m, f = _origin_shift(z0, dz)
     if f:
         half = half * np.exp(2j * np.pi * f * np.fft.rfftfreq(n))
-    out = np.roll(np.fft.irfft(half, n), -m)
-    out /= dz
+    samples = np.fft.irfft(half, n)
+    out = np.empty_like(samples)
+    for src, dst in _roll_pairs(samples, out, -m):
+        np.divide(src, dz, out=dst)
     return out
 
 

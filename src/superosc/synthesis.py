@@ -46,33 +46,17 @@ giving an exact zero the sign that product gives it (-0 only where re and
 im are both negative), so signed zeros in underflowed tails match too.
 
 Caching: on a regular grid z_min + dz * arange(n) everything but log|a| is
-the same for every amplitude, and four bounded LRU caches hold it as
-read-only, full-length arrays (memory per entry at n = 2^16):
-
-* ``_unit_pair``, keyed by the pair without |a| -- each component's
-  (delta, inv_sq_delta, sign of a), boost, band_limit, branch, the window's
-  half_width (0 for none) and the grid (z_min, dz, n) -- maxsize 4,
-  1.5 MiB: the unit-amplitude ``peak``, its maximum ``top``, and re + i im
-  as one complex array.  An op on a warm entry is one overflow check
-  (log|a| + top against LOG_DOUBLE_MAX), one exp and one product per sample;
-* ``_bessel_branches``, keyed by (inv_sq_delta, boost, band_limit, z_min,
-  dz, n), maxsize 8, 1.06 MiB: ``base`` (log|j0| on oscillatory points, xi
-  on growth points), ``extra`` (0 on oscillatory points, log i0e(xi) on
-  growth points) and the int8 ``sign`` of the Bessel factor.  Then
-  logmag = (log_pref + base) + extra, the order of additions of
-  ``component_log``, with no boolean scatter per call.  It wraps
-  ``_bessel_kernel``, the kernel ``component_log`` runs uncached on
-  arbitrary points;
-* ``_grid_carrier``, keyed by (band_limit, z_min, dz, n), maxsize 4,
-  1 MiB: cos and sin of z k0/2 as contiguous arrays, copied from the same
-  np.exp(0.5j z k0) as ``component_log`` (np.cos and np.sin need not round
-  the same way);
-* ``_grid_log_window``, keyed by (half_width, z_min, dz, n), maxsize 4,
-  0.5 MiB: the window's log-profile, which does not depend on the amplitude.
-
-``_unit_pair`` is built from the other three.  ``sample_component`` goes
-through the last three, so its samples are bit-for-bit those of
-``component_log`` on the same points.
+the same for every amplitude.  ``_unit_pair`` keeps it in a bounded LRU
+cache, keyed by the pair without |a| -- each component's (delta,
+inv_sq_delta, sign of a), boost, band_limit, branch, the window's half_width
+(0 for none) and the grid (z_min, dz, n) -- maxsize 4, 1.5 MiB per entry at
+n = 2^16: the unit-amplitude ``peak``, its maximum ``top``, and re + i im as
+one complex array, read-only.  An op on a warm entry is one overflow check
+(log|a| + top against LOG_DOUBLE_MAX), one exp and one product per sample.
+A cold entry is built from the grid points by the expressions of
+``component_log`` (``_bessel_kernel`` and the carrier np.exp(0.5j z k0)) and
+the window's ``log_profile``; nothing it is built from is kept.
+``sample_component`` runs ``component_log`` on the grid points, uncached.
 
 Contour shift: the circle integrand's modulus varies as
 exp(sin(a) * sinh(A)/delta^2), so naive quadrature loses
@@ -186,36 +170,6 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
-def _bessel_branches(inv_sq_delta: float, boost: float, band_limit: float,
-                     z_min: float, dz: float, n: int) -> _Branches:
-    """``_bessel_kernel`` on the grid z_min + dz * arange(n), cached read-only."""
-    branches = _bessel_kernel(inv_sq_delta, boost, band_limit, _grid(z_min, dz, n))
-    _read_only(*branches)
-    return branches
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_carrier(band_limit: float, z_min: float, dz: float, n: int):
-    """(cos, sin) of z k0/2 on the grid z_min + dz * arange(n), cached read-only.
-
-    The parts of exp(i z k0/2), copied out contiguous; np.cos and np.sin need
-    not round the same way.
-    """
-    carrier = np.exp(0.5j * _grid(z_min, dz, n) * band_limit)
-    parts = (carrier.real.copy(), carrier.imag.copy())
-    _read_only(*parts)
-    return parts
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_log_window(half_width: float, z_min: float, dz: float, n: int) -> np.ndarray:
-    """The window's log h(z) on the grid z_min + dz * arange(n), cached read-only."""
-    logh = WindowSpec(half_width=half_width).log_profile(_grid(z_min, dz, n))
-    _read_only(logh)
-    return logh
-
-
 def _logmag(magnitude: float, delta: float, b: _Branches) -> np.ndarray:
     """log|component| at |amplitude| = magnitude > 0, as a new array: (log_pref + base) + extra."""
     logmag = math.log(magnitude * math.sqrt(math.pi) / (math.sqrt(2.0) * delta)) + b.base
@@ -243,12 +197,13 @@ def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: in
     with A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
     """
     (delta1, inv_sq_delta1, negative1), (delta2, inv_sq_delta2, negative2) = c1, c2
-    b1 = _bessel_branches(inv_sq_delta1, boost, band_limit, *grid)
-    b2 = _bessel_branches(inv_sq_delta2, boost, band_limit, *grid)
+    z = _grid(*grid)
+    b1 = _bessel_kernel(inv_sq_delta1, boost, band_limit, z)
+    b2 = _bessel_kernel(inv_sq_delta2, boost, band_limit, z)
     l1 = _logmag(1.0, delta1, b1)
     l2 = _logmag(1.0, delta2, b2)
     if half_width != 0.0:
-        logh = _grid_log_window(half_width, *grid)
+        logh = WindowSpec(half_width=half_width).log_profile(z)
         l1 += logh
         l2 += logh
     peak = np.maximum(l1, l2)
@@ -262,7 +217,8 @@ def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: in
     b *= b2.sign
     if negative2 != (branch < 0):
         np.negative(b, out=b)
-    cos, sin = _grid_carrier(band_limit, *grid)
+    carrier = np.exp(0.5j * z * band_limit)
+    cos, sin = carrier.real, carrier.imag
     unit = np.empty(peak.shape, dtype=complex)
     re, im = unit.real, unit.imag
     np.multiply(cos, a, out=re)
@@ -273,25 +229,6 @@ def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: in
     return _UnitPair(peak, top, unit)
 
 
-def _component_log(p: SuperoscParams, z, grid: tuple | None = None):
-    """``component_log`` on z, from the caches when z is the grid ``grid`` = (z_min, dz, n)."""
-    if p.amplitude == 0.0:
-        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
-    if grid is None:
-        b = _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
-        carrier = np.exp(0.5j * z * p.band_limit)
-        cos, sin = carrier.real, carrier.imag
-    else:
-        b = _bessel_branches(p.inv_sq_delta, p.boost, p.band_limit, *grid)
-        cos, sin = _grid_carrier(p.band_limit, *grid)
-    sign = b.sign.astype(float)
-    if p.amplitude < 0.0:
-        sign = -sign
-    carrier = np.empty(sign.shape, dtype=complex)
-    carrier.real, carrier.imag = cos, sin
-    return _logmag(abs(p.amplitude), p.delta, b), sign * carrier
-
-
 def component_log(p: SuperoscParams, z):
     """One component as (log-magnitude, unit factor): value = unit * exp(logmag).
 
@@ -299,7 +236,14 @@ def component_log(p: SuperoscParams, z):
     Bessel factor, and the sign of the amplitude; its modulus is 1 (or 0 at
     an exact Bessel zero, where logmag is -inf).
     """
-    return _component_log(p, np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    if p.amplitude == 0.0:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
+    b = _bessel_kernel(p.inv_sq_delta, p.boost, p.band_limit, z)
+    sign = b.sign.astype(float)
+    if p.amplitude < 0.0:
+        sign = -sign
+    return _logmag(abs(p.amplitude), p.delta, b), sign * np.exp(0.5j * z * p.band_limit)
 
 
 def synth_bessel(p: SuperoscParams, z):
@@ -602,10 +546,10 @@ def sample_component(
     label: str = "",
 ) -> SampledSignal:
     """Sample one component (closed-form route), optionally windowed in log space."""
-    grid = (z_min, dz, n)
-    logmag, unit = _component_log(p, _grid(*grid), grid)
+    z = _grid(z_min, dz, n)
+    logmag, unit = component_log(p, z)
     if window is not None and not window.is_identity:
-        logmag = logmag + _grid_log_window(window.half_width, *grid)
+        logmag = logmag + window.log_profile(z)
     if np.any(logmag > LOG_DOUBLE_MAX):
         raise OverflowRegime(
             f"magnitude reaches e^{logmag.max():.0f} on the grid; "

@@ -1,9 +1,13 @@
-"""The amplitude-independent caches of synthesis.
+"""The amplitude-independent cache of synthesis, ``_unit_pair``.
 
 Each cached sample must equal the all-points reference on the same points
-exactly, whatever amplitude filled the cache first, and every cached array
-must be read-only so that no caller can corrupt the next one's result.
+exactly, whatever amplitude filled the cache first; every cached array must
+be read-only so that no caller can corrupt the next one's result; and a
+sample keeps nothing alive beyond the cache entry and the signal it returns.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +18,15 @@ from superosc.cli import _window_from
 from superosc.errors import OverflowRegime
 from superosc.synthesis import LOG_DOUBLE_MAX, component_log
 
-from conftest import MILD, MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of
+from conftest import (MILD, MILD_PAIR_DZ, MILD_PAIR_N, MILD_PAIR_WINDOW, MILD_PAIR_Z_MIN,
+                      mild_component, mild_pair_of)
 from oracles import all_points_pair, growth_region, in_log_pair
 
 AMPLITUDES = (1e-4, 3e-3, -1.0, 0.0)
-SYNTH_CACHES = (synthesis._unit_pair, synthesis._bessel_branches, synthesis._grid_carrier,
-                synthesis._grid_log_window)
+SYNTH_CACHES = (synthesis._unit_pair,)
+# Python objects a sample keeps besides its arrays: the cache entry's tuples
+# and key, the SampledSignal; a few KiB.
+RETAINED_SLACK = 16 * 1024
 
 
 def _clear():
@@ -56,7 +63,6 @@ def test_cached_pair_samples_equal_uncached(window):
             assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
                                   np.imag(ref))
     assert synthesis._unit_pair.cache_info().hits > 0
-    assert synthesis._bessel_branches.cache_info().hits > 0  # the negative amplitude's entry
 
 
 @pytest.mark.parametrize("window", [None, _window_from(MILD)])
@@ -71,28 +77,41 @@ def test_cached_component_samples_equal_uncached(window):
             z = z_min + dz * np.arange(n)
             got = sample_component(p, z_min, dz, n, window=window).values
             assert np.array_equal(got, _component_reference(p, z, window))
-    assert synthesis._grid_carrier.cache_info().hits > 0
 
 
 def test_cached_arrays_are_read_only():
     _clear()
     pair = mild_pair_of(1.0)
-    z_min, dz, n = _pair_grid(pair)
-    pair.sample(z_min, dz, n, window=MILD_PAIR_WINDOW)
-    for p in (pair.p1, pair.p2):
-        branches = synthesis._bessel_branches(p.inv_sq_delta, p.boost, p.band_limit,
-                                              z_min, dz, n)
-        # the grid holds oscillatory points (extra = 0) and growth points (log i0e < 0)
-        assert (branches.extra == 0.0).any() and (branches.extra < 0.0).any()
-        for arr in branches:
-            assert arr.shape == (n,) and arr.flags.writeable is False
-    for arr in synthesis._grid_carrier(pair.p1.band_limit, z_min, dz, n):
-        assert arr.flags.c_contiguous and arr.flags.writeable is False
-    logh = synthesis._grid_log_window(MILD_PAIR_WINDOW.half_width, z_min, dz, n)
-    assert logh.flags.writeable is False
-    assert synthesis._bessel_branches.cache_info().hits == 2
-    assert synthesis._grid_carrier.cache_info().hits == 1
-    assert synthesis._grid_log_window.cache_info().hits == 1
+    grid = _pair_grid(pair)
+    pair.sample(*grid, window=MILD_PAIR_WINDOW)
+    entry = pair._unit(MILD_PAIR_WINDOW, grid)
+    assert synthesis._unit_pair.cache_info().hits == 1
+    for arr in entry.peak, entry.unit:
+        assert arr.shape == (grid[2],) and arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_sample_retains_only_the_unit_pair_entry():
+    # a cold sample keeps the cache entry and the returned signal, and nothing
+    # the entry was built from (Bessel branches, carrier, window profile)
+    pair = mild_pair_of(2e-3)
+    grid = (MILD_PAIR_Z_MIN, MILD_PAIR_DZ, MILD_PAIR_N)
+    # numpy's and scipy's first-call state, on a grid no cache shares with ``grid``
+    pair.sample(MILD_PAIR_Z_MIN, MILD_PAIR_DZ, 1024, window=MILD_PAIR_WINDOW)
+    _clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sig = pair.sample(*grid, window=MILD_PAIR_WINDOW)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entry = pair._unit(MILD_PAIR_WINDOW, grid)
+    assert synthesis._unit_pair.cache_info()[:2] == (1, 1)  # (hits, misses): one entry
+    allowed = entry.peak.nbytes + entry.unit.nbytes + sig.values.nbytes
+    assert retained <= allowed + RETAINED_SLACK, (retained, allowed)
 
 
 def test_boost_ladder_on_one_grid_stays_exact_and_bounded():

@@ -284,6 +284,19 @@ def test_energy_residual_survives_large_amplitude(tmp_path, capsys):
     assert abs(report["residual"] - i3_over_gap) <= 1e-12 * abs(i3_over_gap)
 
 
+def test_energy_residual_scales_as_inverse_amplitude_squared(tmp_path, capsys):
+    # at Omega t = 100 pi, I2 = -E_gap to rounding, so the residual is I3 / E_gap,
+    # and I3 divides by the matched-sine denominator, which grows as a^2
+    scaled = []
+    for amplitude in ("1e-3", "1e4", "1e100"):
+        cfg = _edited("energy.cfg", tmp_path, "superosc", "amplitude", amplitude)
+        rc, err = _main_err("energy", cfg, tmp_path / amplitude, capsys)
+        assert rc == 0, err
+        residual = _record(tmp_path / amplitude, "energy")["payload"]["report"]["residual"]
+        scaled.append(residual * float(amplitude) ** 2)
+    assert max(scaled) - min(scaled) <= 1e-12 * abs(scaled[0]), scaled
+
+
 # ----------------------------------------------------------------- sweep ----
 
 
@@ -571,6 +584,7 @@ def test_overflowing_square_is_named(fixture, experiment, section, key, value, q
     ("energy", "1e305", "a coherent amplitude alpha overflows a double"),
     ("energy", "1e307", "the spectrum of samples up to"),
     ("detune", "1e307", "the detector amplitude A overflows a double"),
+    ("transition", "1e307", "the detector amplitude A overflows a double"),
 ])
 def test_overflowing_amplitude_exits_2_with_one_line(experiment, amplitude, quantity,
                                                      tmp_path, capsys):
@@ -581,6 +595,49 @@ def test_overflowing_amplitude_exits_2_with_one_line(experiment, amplitude, quan
     assert rc == 2 and len(err.splitlines()) == 1, err
     assert err.startswith(f"validation error: DomainError: {quantity}")
     assert not (tmp_path / "out").exists()
+
+
+# Payload values that do not depend on the amplitude, with how closely a
+# rescaled run must reproduce the fixture's: relative, or absolute for values
+# that sit at rounding level.
+SCALE_FREE = {
+    "spectrum": ("spectrum_cert.cfg", {"leakage": "abs", "parseval_rel_residual": "abs"}),
+    "freq-map": ("freqmap_cert.cfg", {"rel_dev": "rel"}),
+    "transition": ("transition.cfg", {"fit.exponent": "rel", "fit.residual_rms": "rel"}),
+    "detune": ("detune.cfg", {"selectivity": "rel"}),
+}
+
+
+def _payload_value(payload, path):
+    for key in path.split("."):
+        payload = payload[key]
+    return payload
+
+
+@pytest.mark.parametrize("experiment", sorted(SCALE_FREE))
+def test_amplitude_changes_no_scale_free_output(experiment, tmp_path, capsys):
+    # every pair stage is linear in the amplitude: a rescaled run is refused
+    # with one line, or it reproduces the fixture's scale-free values;
+    # RuntimeWarning is an error here, so a warning on the way fails the run
+    fixture, fields = SCALE_FREE[experiment]
+    assert _run(experiment, fixture, tmp_path / "ref") == 0
+    ref = _record(tmp_path / "ref", experiment)["payload"]
+    matched = 0
+    for amplitude in ("1e-100", "1e-8", "1e4", "1e8", "1e100", "1e250"):
+        cfg = _edited(fixture, tmp_path, "superosc", "amplitude", amplitude)
+        out = tmp_path / f"a{amplitude}"
+        rc, err = _main_err(experiment, cfg, out, capsys)
+        if rc == 2:
+            assert len(err.splitlines()) == 1, (amplitude, err)
+            continue
+        assert rc == 0, (amplitude, err)
+        matched += 1
+        got = _record(out, experiment)["payload"]
+        for path, kind in fields.items():
+            want = _payload_value(ref, path)
+            bound = 1e-12 * (abs(want) if kind == "rel" else 1.0)
+            assert abs(_payload_value(got, path) - want) <= bound, (amplitude, path)
+    assert matched > 0
 
 
 def test_sweep_records_zero_amplitude_point_and_goes_on(tmp_path, capsys):

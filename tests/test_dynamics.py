@@ -136,6 +136,21 @@ def test_overflowing_probabilities_are_named(dyn_signal, dyn_particle):
         detuning_scan(louder, [OMEGA, 1.2 * OMEGA], 50.0)
 
 
+@pytest.mark.parametrize("max_entries", [None, 0])  # W kept, and W applied block by block
+def test_overflowing_detector_amplitude_is_named_on_every_path(max_entries, dyn_signal,
+                                                               dyn_particle, monkeypatch):
+    # a matrix-vector product need not raise the overflow flag, so A itself is checked
+    from superosc import dynamics
+
+    if max_entries is not None:
+        monkeypatch.setattr(dynamics, "MATRIX_MAX_ENTRIES", max_entries)
+    louder = with_values(dyn_signal, dyn_signal.values / dyn_signal.max_abs * 1e307)
+    with pytest.raises(DomainError, match="^the detector amplitude A overflows a double"):
+        probability_curve(louder, dyn_particle, np.linspace(1.0, 50.0, 48))
+    with pytest.raises(DomainError, match="^the detector amplitude A overflows a double"):
+        detuning_scan(louder, [OMEGA, 1.2 * OMEGA], 50.0)
+
+
 @pytest.mark.parametrize("t", [1e10, np.array([1.0, 1e10])])
 def test_overflowing_monochromatic_reference_is_named(t):
     with pytest.raises(DomainError, match="^the monochromatic reference P"):

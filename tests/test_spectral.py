@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from superosc import (ModeGrid, SampledSignal, SpectralDensity, WindowSpec,
                       amplitudes_from_spectrum, parseval_residual, spectrum)
 from superosc.errors import TruncationError
-from superosc.spectral import box_fft, box_irfft
+from superosc.spectral import _roll_pairs, box_fft, box_irfft
 
 from oracles import mirrored_spectrum
 
@@ -230,6 +230,16 @@ def test_real_spectrum_exactly_hermitian(n, r):
 
 def test_dyn_spectrum_exactly_hermitian(dyn_signal):
     _assert_hermitian(spectrum(dyn_signal, band_limit=1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), shift=st.integers(-300, 300))
+def test_roll_pairs_are_np_roll(n, shift):
+    x = np.arange(n) + 0.5j
+    out = np.empty_like(x)
+    for src, dst in _roll_pairs(x, out, shift):
+        dst[...] = src
+    assert np.array_equal(out, np.roll(x, shift))
 
 
 @settings(max_examples=60, deadline=None)
