@@ -413,7 +413,6 @@ def run_synth(conf: dict) -> RunRecord:
         "z": z,
         "re": np.real(v),
         "im": np.imag(v),
-        "abs": np.abs(v),
         "region": _region_labels(z, p),
     }
     return rec
@@ -428,6 +427,7 @@ def run_spectrum(conf: dict) -> RunRecord:
     sd = spectrum(sig, band_limit=pair.p1.band_limit, eps_band=conf["spectrum"]["eps_band"])
     kappa = window.half_width
     frac = sd.band_energy_fraction(-kappa, sd.band_limit + kappa)
+    peak = np.abs(sd.values).max()
     payload = {
         "band_limit": sd.band_limit,
         "window_half_width": kappa,
@@ -436,16 +436,14 @@ def run_spectrum(conf: dict) -> RunRecord:
         "eps_band": sd.eps_band,
         "band_limited": bool(1.0 - frac <= sd.eps_band),
         "parseval_rel_residual": parseval_residual(sig, sd),
-        "log_max_abs_spectrum": float(np.log(np.abs(sd.values).max())),
+        "log_max_abs_spectrum": float(np.log(peak)),
     }
     rec = RunRecord(experiment="spectrum", config_hash="", payload=payload)
-    mag = np.abs(sd.values)
-    scale = mag.max() or 1.0
+    scale = peak or 1.0
     rec.series = {
         "k": sd.k,
         "re_norm": np.real(sd.values) / scale,
         "im_norm": np.imag(sd.values) / scale,
-        "abs2_norm": (mag / scale) ** 2,
     }
     return rec
 

@@ -21,13 +21,19 @@ minus the part of its lowest interval below z0 - t, plus the partial interval
 at z0.  A gap so large that Omega times the reach overflows is refused with
 DomainError, on every call.
 
-The detector matrix: A is linear in the samples, A = W @ F[i_lo:i_hi], and W
-depends only on the grid and the detector, never on the signal's values.
-W = Phi . S is the arithmetic above in another order:
+The detector matrix: A is linear in the samples, and its weights depend
+only on the grid and the detector, never on the signal's values.  They are
+kept as real rows, the real parts of each gap's weights and then their
+imaginary parts, so the real samples of a real signal give real products:
+W @ F[i_lo:i_hi] holds Re A for every gap, then Im A, and a warm call is one
+real matrix-vector product.  W = Phi . S is the arithmetic above in another
+order:
 
 * Phi holds the weight of each spline coefficient c_pj in A: phase times
   moment on the whole intervals a time covers, plus the partial interval at
-  z0, minus the partial interval below z0 - t;
+  z0, minus the partial interval below z0 - t.  The whole intervals enter
+  as suffix sums: one sum per run of intervals between the distinct lower
+  ends, then a running sum over the runs, O(intervals + distinct ends);
 * S is the spline's linear map from samples to coefficients.  Its columns
   are the splines of unit samples, fitted BLOCK_COLUMNS = 2 SPLINE_MARGIN at
   a time, each block on its own knots plus SPLINE_MARGIN knots on each side,
@@ -36,18 +42,21 @@ W = Phi . S is the arithmetic above in another order:
   O(reach x BLOCK_COLUMNS), not O(reach^2).  Samples whose columns lie past
   the margin of every interval Phi weighs get zero columns.
 
-Caching: ``_detector_matrix`` keeps W complex and read-only in a bounded LRU
-cache, maxsize 8, keyed by everything W depends on: the grid's z_min and dz,
-the reach window (i_lo, i_hi), z0, and the gaps and times as tuples.  An
-entry takes 16 bytes per (gap, time, sample): 0.34 MiB for a 48-point curve
-on the 2^16-point dyn grid (457 samples in the window), 0.07 MiB for a
-4-gap scan at Omega t = 100 pi.  On 2 cores, a cold build takes about 10 ms
-(2^15) and 15 ms (2^16) for that curve and 20 ms and 31 ms for that scan,
-almost all of it the CubicSpline fits; a warm call is the bounds checks,
-one lookup and one matrix-vector product, 15-30 us against 1.2-1.5 ms for
-a spline fitted per call.  A W above MATRIX_MAX_ENTRIES entries (16 MiB)
-is not kept: its blocks are built and applied one at a time, so the cache
-never holds more than 8 x 16 MiB and such a call pays the build each time.
+Caching: ``_detector_matrix`` keeps W real and read-only, shape (2 gaps,
+times, reach samples), in a bounded LRU cache, maxsize 8, keyed by
+everything W depends on: the grid's z_min and dz, the reach window
+(i_lo, i_hi), z0, and the gaps and times as tuples.  An entry takes 16 bytes
+per (gap, time, sample): 0.34 MiB for a 48-point curve on the 2^16-point
+dyn grid (457 samples in the window), 0.07 MiB for a 4-gap scan at
+Omega t = 100 pi.  On 2 cores, a cold build takes about 5-9 ms for that
+curve and 12-24 ms for that scan, almost all of it the CubicSpline fits; a
+warm call is the bounds checks, one lookup and one real matrix-vector
+product, 15-25 us against 1.2-1.5 ms for a spline fitted per call.  A
+complex signal's samples make numpy cast W for that call.  A key above
+MATRIX_MAX_ENTRIES (gap, time, sample) entries (16 MiB) builds no W: Phi is
+applied to the samples' own spline over the reach window, one column, so
+such a call costs O(reach x gaps + times) each time, about 25 ms for a
+4096-point curve over a reach of 19 790 samples.
 """
 
 from __future__ import annotations
@@ -141,6 +150,7 @@ class _PieceWeights(NamedTuple):
     whole: np.ndarray    # (jb - j0, 2 gaps, 4): phase times moments of each whole piece
     top: np.ndarray      # (2 gaps, 4): the partial piece [x_jb, z0]
     bottom: np.ndarray   # (times, 2 gaps, 4): the partial piece [x_ja, z0 - t]
+    still: np.ndarray    # (times,) where t = 0
 
 
 def _real_rows(weights: np.ndarray, axis: int) -> np.ndarray:
@@ -173,7 +183,8 @@ def _piece_weights(x: np.ndarray, gaps: np.ndarray, z0: float,
         j0=j0, jb=jb, ja=ja,
         whole=_real_rows((phase[:, :-1] * _moments(omega, widths)[:, which]).swapaxes(0, 1), 1),
         top=_real_rows(phase[:, -1] * _moments(gaps, z0 - knots[-1]), 0),
-        bottom=_real_rows((phase[:, k] * _moments(omega, lows - knots[k])).swapaxes(0, 1), 1))
+        bottom=_real_rows((phase[:, k] * _moments(omega, lows - knots[k])).swapaxes(0, 1), 1),
+        still=times == 0.0)
 
 
 def _block_rows(w: _PieceWeights, coef: np.ndarray, lo: int) -> np.ndarray:
@@ -181,31 +192,37 @@ def _block_rows(w: _PieceWeights, coef: np.ndarray, lo: int) -> np.ndarray:
     hi = lo + coef.shape[0]
     mid = min(max(lo, w.jb), hi)  # whole pieces lo .. mid - 1
     pieces = w.whole[lo - w.j0:mid - w.j0] @ coef[:mid - lo]
-    # A[t] sums the whole pieces from max(ja_t, lo) on; times sharing that start share the sum
+    # A[t] sums the whole pieces from max(ja_t, lo) on; times sharing that start share the
+    # sum: one sum per segment between the sorted starts, then a suffix sum over the segments
     starts, start_of = np.unique(np.clip(w.ja, lo, mid) - lo, return_inverse=True)
-    summed = (np.arange(mid - lo) >= starts[:, None]).astype(float)
-    rows = np.tensordot(summed, pieces, axes=1)[start_of]
+    inner = starts[starts < mid - lo]  # a start at mid sums no piece
+    sums = np.zeros((starts.size,) + pieces.shape[1:], dtype=pieces.dtype)
+    if inner.size:
+        sums[:inner.size] = np.cumsum(np.add.reduceat(pieces, inner)[::-1], axis=0)[::-1]
+    rows = sums[start_of]
     if lo <= w.jb < hi:
         rows += w.top @ coef[w.jb - lo]
     inside = (lo <= w.ja) & (w.ja < hi)
     rows[inside] -= w.bottom[inside] @ coef[w.ja[inside] - lo]
+    rows[w.still] = 0.0  # no time, no integral: exactly 0
     return rows
 
 
-def _detector_blocks(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
-                     gaps: tuple, times: tuple):
-    """Yield (b0, W[:, :, b0:b0 + BLOCK_COLUMNS]) on the grid z_min + dz * arange(n).
+@functools.lru_cache(maxsize=8)
+def _detector_matrix(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
+                     gaps: tuple, times: tuple) -> np.ndarray:
+    """W on the grid z_min + dz * arange(n), real and read-only.
 
-    W has shape (gaps, times, i_hi - i_lo) and A = W @ F[i_lo:i_hi]; each
-    block is Phi times the splines of its unit samples (module docstring).
+    W has shape (2 gaps, times, i_hi - i_lo): W @ F[i_lo:i_hi] holds the real
+    parts of A, then its imaginary parts.  Each block of BLOCK_COLUMNS columns
+    is Phi times the splines of its unit samples (module docstring).
     """
     x = z_min + dz * np.arange(i_lo, i_hi)
-    gaps, times = np.array(gaps), np.array(times)
-    w = _piece_weights(x, gaps, z0, times)
-    m, n_gaps = x.size, gaps.size
+    w = _piece_weights(x, np.array(gaps), z0, np.array(times))
+    m = x.size
+    matrix = np.zeros((2 * len(gaps), len(times), m))
     for b0 in range(0, m, BLOCK_COLUMNS):
         b1 = min(b0 + BLOCK_COLUMNS, m)
-        block = np.zeros((n_gaps, times.size, b1 - b0), dtype=complex)
         k_lo, k_hi = max(0, b0 - SPLINE_MARGIN), min(m, b1 + SPLINE_MARGIN)
         lo, hi = max(k_lo, w.j0), min(k_hi - 1, w.jb + 1)  # the pieces Phi weighs
         if lo < hi:  # else these samples lie beyond the margin of every weighed piece
@@ -213,19 +230,7 @@ def _detector_blocks(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
             unit[np.arange(b0 - k_lo, b1 - k_lo), np.arange(b1 - b0)] = 1.0
             coef = CubicSpline(x[k_lo:k_hi], unit).c.transpose(1, 0, 2)  # (piece, power, col)
             rows = _block_rows(w, np.ascontiguousarray(coef[lo - k_lo:hi - k_lo]), lo)
-            block.real = rows[:, :n_gaps].swapaxes(0, 1)
-            block.imag = rows[:, n_gaps:].swapaxes(0, 1)
-            block[:, times == 0.0] = 0.0  # no time, no integral: exactly 0
-        yield b0, block
-
-
-@functools.lru_cache(maxsize=8)
-def _detector_matrix(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
-                     gaps: tuple, times: tuple) -> np.ndarray:
-    """W of ``_detector_blocks`` assembled and cached read-only."""
-    matrix = np.empty((len(gaps), len(times), i_hi - i_lo), dtype=complex)
-    for b0, block in _detector_blocks(z_min, dz, i_lo, i_hi, z0, gaps, times):
-        matrix[:, :, b0:b0 + block.shape[2]] = block
+            matrix[:, :, b0:b1] = rows.transpose(1, 0, 2)
     matrix.flags.writeable = False
     return matrix
 
@@ -250,18 +255,20 @@ def _detector_key(s: SampledSignal, gaps, times, detector_z: float) -> tuple:
 
 
 def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> np.ndarray:
-    """A(t) for every gap and time, shape (gaps, times): W times the reach's samples."""
+    """A(t) for every gap and time, shape (gaps, times): W's real rows times the reach samples."""
     key = _detector_key(s, gaps, times, detector_z)
     _, _, i_lo, i_hi, _, gaps, times = key
     samples = s.values[i_lo:i_hi]
     # BLAS need not raise the overflow flag, so A itself is checked
     with np.errstate(over="ignore", invalid="ignore"):
         if len(gaps) * len(times) * samples.size <= MATRIX_MAX_ENTRIES:
-            amps = _detector_matrix(*key) @ samples
-        else:  # too large to keep: apply each block as it is built
-            amps = np.zeros((len(gaps), len(times)), dtype=complex)
-            for b0, block in _detector_blocks(*key):
-                amps += block @ samples[b0:b0 + block.shape[2]]
+            rows = _detector_matrix(*key) @ samples
+        else:  # too large to keep: Phi applied to the samples' own spline
+            x = s.z_slice(i_lo, i_hi)
+            w = _piece_weights(x, np.array(gaps), detector_z, np.array(times))
+            coef = CubicSpline(x, samples).c.T[w.j0:w.jb + 1, :, None]  # (piece, power, 1)
+            rows = _block_rows(w, np.ascontiguousarray(coef), w.j0)[:, :, 0].T
+        amps = rows[:len(gaps)] + 1j * rows[len(gaps):]
     if not np.isfinite(amps).all():
         raise DomainError(f"the detector amplitude A overflows a double "
                           f"(samples up to {s.max_abs:g})")
@@ -349,7 +356,11 @@ def matched_sine_amplitude(s: SampledSignal, wavenumber: float,
     i_lo, i_hi = s.index_range(z_lo, z_hi)
     if i_hi - i_lo < 8:
         raise InsufficientData("fewer than 8 samples in the fit window")
-    phase = wavenumber * s.z_slice(i_lo, i_hi)
+    z = s.z_slice(i_lo, i_hi)
+    if not math.isfinite(wavenumber * float(max(abs(z[0]), abs(z[-1])))):
+        raise DomainError(f"wavenumber {wavenumber:g} times z overflows a double on the fit "
+                          f"window [{z_lo:g}, {z_hi:g}]")
+    phase = wavenumber * z
     sine, cosine = np.sin(phase), np.cos(phase)
     gw = np.real(s.values[i_lo:i_hi])
     ss, sc, cc = float(sine @ sine), float(sine @ cosine), float(cosine @ cosine)

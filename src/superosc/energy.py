@@ -95,7 +95,12 @@ def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
     log = math.log1p(k_uv / om) - (ci1 - ci0)
     inverse = math.cos(x1) / u1 - math.cos(x0) / om + k_uv / (om * u1) + t * (si1 - si0)
     integral = 2.0 * (linear - 2.0 * om * log + om**2 * inverse)
-    return float(integral / (grid.box_length**2 * denominator))
+    scale = grid.box_length**2 * denominator
+    i3 = float(integral) / scale if scale > 0.0 else math.inf
+    if not math.isfinite(i3):
+        raise DomainError(f"I3 overflows a double: its k integral {float(integral):g} over "
+                          f"L^2 times the denominator, {scale:g}")
+    return i3
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superosc.cli import config_hash, load_config, main, run_experiment
 
@@ -176,7 +182,7 @@ def test_figure_csv_regions(tmp_path):
     assert _run("synth", "synth.cfg", tmp_path) == 0
     assert not (tmp_path / "figure.csv").exists()  # synth_series.csv is the figure data
     lines = (tmp_path / "synth_series.csv").read_text().splitlines()
-    assert lines[0] == "z,re,im,abs,region"
+    assert lines[0] == "z,re,im,region"
     regions = {row.rsplit(",", 1)[1] for row in lines[1:]}
     assert regions == {"superoscillatory", "growth", "farfield"}
     # growth-region maximum sits at the predicted location
@@ -184,8 +190,8 @@ def test_figure_csv_regions(tmp_path):
     for row in lines[1:]:
         cells = row.split(",")
         z.append(float(cells[0]))
-        mag.append(float(cells[3]))
-        reg.append(cells[4])
+        mag.append(math.hypot(float(cells[1]), float(cells[2])))
+        reg.append(cells[3])
     z, mag = np.array(z), np.array(mag)
     grow = np.array([r == "growth" for r in reg])
     i = np.argmax(np.where(grow, mag, -1.0))
@@ -721,3 +727,92 @@ def test_every_key_at_extreme_values_keeps_exit_contract(tmp_path, capsys):
                     except ValueError as exc:
                         bad.append(f"{where}: {path.name}: {exc}")
     assert not bad, "\n".join(bad)
+
+
+# caps that keep one drawn run well under a second
+_COUNT_CAPS = {("grid", "n_samples"): 2**15, ("transition", "n_points"): 256}
+_MAX_LIST = 8  # values per ladder or float list
+
+
+def _float_text(span, current):
+    """A finite float inside span, or the fixture's own value scaled by up to 10^+-3."""
+    lo, hi = (None, None) if span is None else (float(e) for e in span[1:-1].split(","))
+    anywhere = st.floats(min_value=lo, max_value=None if hi == math.inf else hi,
+                         exclude_min=bool(span) and span[0] == "(",
+                         exclude_max=bool(span) and span[-1] == ")" and hi != math.inf,
+                         allow_nan=False, allow_infinity=False)
+    try:
+        base = float(current)
+    except (TypeError, ValueError):
+        return anywhere.map(repr)
+    return st.one_of(anywhere, st.floats(-3.0, 3.0).map(lambda u: base * 10.0**u)).map(repr)
+
+
+def _key_text(section, key, current):
+    """A config string for one ``_KEYS`` row, drawn from that row's range."""
+    from superosc.cli import _KEYS, EXPERIMENTS
+
+    kind, _, span = _KEYS[section, key]
+    if kind == "float":
+        return _float_text(span, current)
+    if kind == "gap":
+        return st.one_of(st.just("matched"), _float_text(span, None))
+    if kind == "int":
+        lo, hi = ((-2**15, 2**15) if span is None
+                  else (int(float(e)) for e in span[1:-1].split(",")))
+        return st.integers(lo, min(hi, _COUNT_CAPS.get((section, key), hi))).map(str)
+    if kind == "bool":
+        return st.sampled_from(["true", "false", "yes", "0"])
+    if kind in ("floats", "pair"):
+        size = (2, 2) if kind == "pair" else (1, _MAX_LIST)
+        return st.lists(_float_text(None, None), min_size=size[0],
+                        max_size=size[1]).map(",".join)
+    if kind == "ladder":
+        spaced = st.tuples(st.sampled_from(["lin", "log"]), _float_text(None, None),
+                           _float_text(None, None), st.integers(0, _MAX_LIST))
+        return st.one_of(spaced.map(lambda t: ":".join(map(str, t))),
+                         st.lists(_float_text(None, None), min_size=1,
+                                  max_size=_MAX_LIST).map(lambda v: "list:" + ",".join(v)))
+    return st.sampled_from(EXPERIMENTS if key == "experiment" else ["out"])  # str
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.cfg")))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_key_edits_keep_exit_contract(fixture, data):
+    """2-3 keys of the table, each drawn from its range, edited into a fixture: the
+    run exits 0, 2 or 3, with one stderr line on exit 2 and no warning; a failed
+    run writes nothing, and a successful one writes finite JSON only."""
+    from superosc.cli import _KEYS
+
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cfg.read(FIXTURES / fixture)
+    experiment = cfg["run"]["experiment"].strip()
+    keys = data.draw(st.lists(st.sampled_from(sorted(_KEYS)), min_size=2, max_size=3,
+                              unique=True), label="keys")
+    for section, key in keys:
+        if not cfg.has_section(section):
+            cfg.add_section(section)
+        cfg[section][key] = data.draw(_key_text(section, key, cfg[section].get(key)),
+                                      label=f"[{section}] {key}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "edited.cfg", Path(tmp) / "out"
+        with open(path, "w", encoding="utf-8") as fh:
+            cfg.write(fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main([experiment, "--config", str(path), "--out", str(out), "--quiet"])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3), lines
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 2:
+            assert len(lines) == 1, lines
+        if rc:
+            assert not out.exists(), sorted(os.listdir(out))
+            return
+        for record in out.glob("*.json*"):
+            docs = record.read_text().splitlines() if record.suffix == ".jsonl" else [
+                record.read_text()]
+            for doc in docs:
+                json.loads(doc, parse_constant=_reject_constant)

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +126,12 @@ def test_sine_fit_refuses_collinear_basis():
     for wavenumber in (math.pi / s.dz, 2.0 * math.pi / s.dz):
         with pytest.raises(DegenerateDenominator, match="collinear"):
             matched_sine_amplitude(s, wavenumber, -50.0, 0.0)
+
+
+def test_sine_fit_refuses_overflowing_phase():
+    # wavenumber * z past double range would reach sin and cos as inf
+    with pytest.raises(DomainError, match="^wavenumber 1e[+]307 times z overflows a double"):
+        matched_sine_amplitude(_sine_signal(), 1e307, -50.0, 0.0)
 
 
 def test_overflowing_probabilities_are_named(dyn_signal, dyn_particle):
@@ -439,16 +448,63 @@ def test_detector_matrix_cache(dyn_signal, dyn_particle):
     assert _detector_matrix.cache_info().currsize == 1 + len(calls)
 
 
-def test_oversized_detector_matrix_is_applied_block_by_block(dyn_signal, monkeypatch):
+def test_oversized_detector_key_applies_phi_to_the_samples_spline(dyn_signal, monkeypatch):
+    # above MATRIX_MAX_ENTRIES no W is built: Phi weighs the samples' own spline
     from superosc import dynamics
 
     s, gaps, times = dyn_signal, [OMEGA, 2.5], np.linspace(0.0, 50.0, 48)
     kept = dynamics._excitation_amplitudes(s, gaps, times, 0.0)
     monkeypatch.setattr(dynamics, "MATRIX_MAX_ENTRIES", 0)
     dynamics._detector_matrix.cache_clear()
-    streamed = dynamics._excitation_amplitudes(s, gaps, times, 0.0)
+    direct = dynamics._excitation_amplitudes(s, gaps, times, 0.0)
     assert dynamics._detector_matrix.cache_info().currsize == 0
-    assert np.abs(streamed - kept).max() <= 1e-14 * np.abs(kept).max()
+    assert np.abs(direct - kept).max() <= 1e-14 * np.abs(kept).max()
+    assert not np.any(direct[:, 0])  # no time, no integral: exactly 0
+
+
+_WARM_OPS_CHILD = """
+import os, random, resource, sys, time
+sys.path[:0] = sys.argv[1:3]
+import superosc, worker
+
+def cpu_s():
+    # utime + stime of each thread, in seconds
+    tick, out = os.sysconf("SC_CLK_TCK"), {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        out[int(tid)] = (int(fields[11]) + int(fields[12])) / tick
+    return out
+
+wl = worker.Pipeline(superosc, random.Random("pipeline_warm:0:0"))
+wl.run(wl.warmup_draw())
+for n in wl.sizes:
+    wl.run({"amplitude": 1e-3, "n": n})
+time.sleep(0.5)  # past any BLAS worker's spin-wait
+before, faults = cpu_s(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(int(sys.argv[3])):
+    wl.run(wl.draw())
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+after = cpu_s()
+main = after.pop(os.getpid()) - before.pop(os.getpid())
+others = sum(t - before.get(tid, 0.0) for tid, t in after.items())
+print(main, others, faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_warm_pipeline_ops_take_few_page_faults_and_wake_no_thread():
+    # a warm op reuses its buffers and runs on one thread: no BLAS worker
+    # spins beside it, and the allocator hands it no fresh pages
+    root = Path(__file__).resolve().parent.parent
+    ops = 200
+    proc = subprocess.run([sys.executable, "-c", _WARM_OPS_CHILD, str(root / "perfbench"),
+                           str(root / "src"), str(ops)],
+                          capture_output=True, text=True, check=True, cwd=root, timeout=300)
+    main, others, faults = (float(v) for v in proc.stdout.split())
+    assert main > 0.0
+    assert others <= 0.1 * main, (main, others)
+    assert faults <= 20 * ops, faults
 
 
 # ------------------------------------------------ exact spline integral ----

@@ -172,6 +172,15 @@ def test_i3_domain(gap, t, uv):
         _k_integral(gap, t, uv)
 
 
+# I3 past double range, and L^2 times the denominator underflowing to 0
+@pytest.mark.parametrize("box_length,uv,t,denominator", [(2.0, 1e100, 50.0 * math.pi, 1e-300),
+                                                         (1e-150, 1e151, 1e-155, 1e-30)])
+def test_overflowing_i3_is_named(box_length, uv, t, denominator):
+    grid = ModeGrid(box_length=box_length, n_modes=1, uv_cutoff=uv)
+    with pytest.raises(DomainError, match="^I3 overflows a double"):
+        compute_I3(grid, 2.0, t, denominator)
+
+
 def test_sweep_box_ladder_i3_matches_mpmath(tmp_path):
     # off the matched gap: Omega is the pair's wavenumber, 1.5 and 3 here
     from superosc.cli import main
