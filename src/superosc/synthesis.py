@@ -55,7 +55,10 @@ one complex array, read-only.  An op on a warm entry is one overflow check
 (log|a| + top against LOG_DOUBLE_MAX), one exp and one product per sample.
 A cold entry is built from the grid points by the expressions of
 ``component_log`` (``_bessel_kernel`` and the carrier np.exp(0.5j z k0)) and
-the window's ``log_profile``; nothing it is built from is kept.
+the window's ``log_profile``; nothing it is built from is kept.  Before a
+build, the same expressions at the grid ends and at the grid points nearest
+each component's growth peak refuse an amplitude that already overflows
+there, so a refused grid is never built and leaves no entry.
 ``sample_component`` runs ``component_log`` on the grid points, uncached.
 
 Contour shift: the circle integrand's modulus varies as
@@ -177,6 +180,71 @@ def _logmag(magnitude: float, delta: float, b: _Branches) -> np.ndarray:
     return logmag
 
 
+class _Unkeyed:
+    """An argument that a cached function reads but its cache key leaves out.
+
+    Every instance hashes and compares equal, so calls that differ only in it
+    share one entry; it reaches the function only on a miss.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Unkeyed)
+
+
+def _unit_logs(c1: tuple, c2: tuple, boost: float, band_limit: float, half_width: float,
+               z: np.ndarray) -> tuple:
+    """(l1, s1, l2, s2) on points z: each component's log-magnitude at unit
+    |amplitude|, window included, and the sign of its Bessel factor."""
+    logs = []
+    for delta, inv_sq_delta, _ in (c1, c2):
+        b = _bessel_kernel(inv_sq_delta, boost, band_limit, z)
+        logs += [_logmag(1.0, delta, b), b.sign]
+    l1, s1, l2, s2 = logs
+    if half_width != 0.0:
+        logh = WindowSpec(half_width=half_width).log_profile(z)
+        l1 += logh
+        l2 += logh
+    return l1, s1, l2, s2
+
+
+def _refuse_overflow(log_magnitude: float) -> None:
+    """Raise OverflowRegime if the pair's magnitude e^log_magnitude is past the double range."""
+    if log_magnitude > LOG_DOUBLE_MAX:
+        raise OverflowRegime(
+            f"combined magnitude reaches e^{log_magnitude:.0f}; apply a window or "
+            "restrict the grid to the representable range"
+        )
+
+
+def _refuse_before_build(c1: tuple, c2: tuple, boost: float, band_limit: float,
+                         half_width: float, grid: tuple, log_amplitude: float) -> None:
+    """Raise OverflowRegime if a few grid points already overflow, before the grid is built.
+
+    The points are the grid ends and, for each component, the grid point
+    nearest its growth peak 2 cosh(A)/(k0 delta^2) (``growth_peak_z``),
+    clipped to the grid, each as ``_grid`` computes it.  A point's unit
+    log-peak is at most the grid's maximum, so this refuses only what the
+    full check after the build would refuse; it saves building, say, a 2^24
+    sample grid to refuse it.
+    """
+    z_min, dz, n = grid
+    index = [0, n - 1]
+    for _, inv_sq_delta, _ in (c1, c2):
+        peak_z = 2.0 * math.cosh(boost) * inv_sq_delta / band_limit
+        index.append(min(max(round((peak_z - z_min) / dz), 0), n - 1))
+    z = z_min + dz * np.array(sorted(set(index)), dtype=float)
+    l1, _, l2, _ = _unit_logs(c1, c2, boost, band_limit, half_width, z)
+    _refuse_overflow(log_amplitude + float(np.maximum(l1, l2).max()))
+
+
 class _UnitPair(NamedTuple):
     """F1 + branch * i * F2 at unit |amplitude| on a grid: ``unit`` * e^``peak``."""
 
@@ -187,7 +255,7 @@ class _UnitPair(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: int,
-               half_width: float, grid: tuple) -> _UnitPair:
+               half_width: float, grid: tuple, log_amplitude: _Unkeyed) -> _UnitPair:
     """The pair's unit-amplitude combine on ``grid`` = (z_min, dz, n), cached read-only.
 
     ``c1`` and ``c2`` are the components' (delta, inv_sq_delta, amplitude < 0);
@@ -195,26 +263,23 @@ def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: in
     F1 = s1 e^l1 (cos + i sin) and F2 = s2 e^l2 (cos + i sin); scaled by the
     larger log-magnitude, the pair is ((cos A - sin B) + i (sin A + cos B)) e^peak
     with A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
+
+    ``log_amplitude``, log|a| outside the key, is read only on a miss, by
+    ``_refuse_before_build`` before the grid is built.
     """
-    (delta1, inv_sq_delta1, negative1), (delta2, inv_sq_delta2, negative2) = c1, c2
+    (_, _, negative1), (_, _, negative2) = c1, c2
+    _refuse_before_build(c1, c2, boost, band_limit, half_width, grid, log_amplitude.value)
     z = _grid(*grid)
-    b1 = _bessel_kernel(inv_sq_delta1, boost, band_limit, z)
-    b2 = _bessel_kernel(inv_sq_delta2, boost, band_limit, z)
-    l1 = _logmag(1.0, delta1, b1)
-    l2 = _logmag(1.0, delta2, b2)
-    if half_width != 0.0:
-        logh = WindowSpec(half_width=half_width).log_profile(z)
-        l1 += logh
-        l2 += logh
+    l1, s1, l2, s2 = _unit_logs(c1, c2, boost, band_limit, half_width, z)
     peak = np.maximum(l1, l2)
     top = float(peak.max())
     peak[np.isneginf(peak)] = 0.0
     a = np.exp(np.subtract(l1, peak, out=l1), out=l1)
-    a *= b1.sign
+    a *= s1
     if negative1:
         np.negative(a, out=a)
     b = np.exp(np.subtract(l2, peak, out=l2), out=l2)
-    b *= b2.sign
+    b *= s2
     if negative2 != (branch < 0):
         np.negative(b, out=b)
     carrier = np.exp(0.5j * z * band_limit)
@@ -429,13 +494,17 @@ class PairSynthesizer:
         return self.p1.extent
 
     def _unit(self, window: WindowSpec | None, grid: tuple) -> _UnitPair:
-        """The pair's cached unit-amplitude combine on ``grid`` = (z_min, dz, n)."""
+        """The pair's cached unit-amplitude combine on ``grid`` = (z_min, dz, n).
+
+        The amplitude must be nonzero.
+        """
         p1, p2 = self.p1, self.p2
-        # combine_pair guarantees a shared boost and band limit
+        # combine_pair guarantees a shared boost, band limit and amplitude magnitude
         return _unit_pair((p1.delta, p1.inv_sq_delta, p1.amplitude < 0.0),
                           (p2.delta, p2.inv_sq_delta, p2.amplitude < 0.0),
                           p1.boost, p1.band_limit, self.branch,
-                          0.0 if window is None else window.half_width, grid)
+                          0.0 if window is None else window.half_width, grid,
+                          _Unkeyed(math.log(abs(p1.amplitude))))
 
     def _combine(self, window: WindowSpec | None, grid: tuple,
                  imag_only: bool = False) -> np.ndarray:
@@ -448,11 +517,7 @@ class PairSynthesizer:
             return np.zeros(grid[2], dtype=float if imag_only else complex)
         u = self._unit(window, grid)
         log_amplitude = math.log(abs(self.p1.amplitude))
-        if log_amplitude + u.top > LOG_DOUBLE_MAX:
-            raise OverflowRegime(
-                f"combined magnitude reaches e^{log_amplitude + u.top:.0f}; apply a window or "
-                "restrict the grid to the representable range"
-            )
+        _refuse_overflow(log_amplitude + u.top)
         scale = np.add(u.peak, log_amplitude)
         np.exp(scale, out=scale)
         if not imag_only:

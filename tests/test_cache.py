@@ -168,6 +168,29 @@ def test_overflow_threshold_unchanged():
                 assert np.isfinite(values()).all()
 
 
+@pytest.mark.parametrize("window", [None, MILD_PAIR_WINDOW])
+def test_overflow_probe_refuses_only_what_the_build_would(window, monkeypatch):
+    # the pre-build probe runs once per cold key, never on a warm op; just under
+    # the grid's own threshold it refuses nothing, and what it refuses leaves no entry
+    grid = _pair_grid(mild_pair_of(1.0))
+    _clear()
+    top = mild_pair_of(1.0)._unit(window, grid).top
+    probes = []
+    probe = synthesis._refuse_before_build
+    monkeypatch.setattr(synthesis, "_refuse_before_build",
+                        lambda *args: probes.append(args) or probe(*args))
+    for excess in (-1e-9, -1.0):
+        _clear()
+        for _ in range(2):  # cold, then warm
+            pair = mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + excess)))
+            assert np.isfinite(pair.sample(*grid, window=window).values).all()
+    assert len(probes) == 2
+    _clear()
+    with pytest.raises(OverflowRegime):
+        mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + 5.0))).sample(*grid, window=window)
+    assert len(probes) == 3 and synthesis._unit_pair.cache_info().currsize == 0
+
+
 def test_zero_amplitude_gives_exact_positive_zeros():
     _clear()
     grid = _pair_grid(mild_pair_of(1.0))

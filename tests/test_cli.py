@@ -1,5 +1,7 @@
 import configparser
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
@@ -103,6 +105,177 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "energy_record.json").exists()
+
+
+# ------------------------------------------------------ the CLI process ----
+
+# `python -m superosc` skips GC passes and interpreter teardown; this command
+# runs the same main with both
+PLAIN_CLI = [sys.executable, "-c", "from superosc.cli import main; raise SystemExit(main())"]
+MODULE_CLI = [sys.executable, "-m", "superosc"]
+
+# run name, experiment, fixture, expected exit code
+FIXTURE_RUNS = [
+    ("synth", "synth", "synth.cfg", 0),
+    ("spectrum", "spectrum", "spectrum_cert.cfg", 0),
+    ("freq-map", "freq-map", "freqmap_cert.cfg", 0),
+    ("transition", "transition", "transition.cfg", 0),
+    ("detune", "detune", "detune.cfg", 0),
+    ("energy", "energy", "energy.cfg", 0),
+    ("sweep", "sweep", "sweep_boost_ladder.cfg", 0),
+    ("transition_detuned_assert", "transition", "transition_detuned_assert.cfg", 3),
+    ("bad_missing_section", "energy", "bad_missing_section.cfg", 2),
+]
+
+
+def _cli_env():
+    """The environment of a CLI child that runs in another directory.
+
+    Without PYTHONUNBUFFERED, stdout through a pipe is block-buffered as by
+    default, so a line that is never flushed is lost.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in ("SUPEROSC_OUT", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join([str(FIXTURES.parent / "src"),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def _outputs(run_dir):
+    """Each file a run wrote, by name; a record without its wall clock."""
+    files = {}
+    for path in sorted(run_dir.glob("out/*")):
+        data = path.read_bytes()
+        if path.name.endswith("_record.json"):
+            record = json.loads(data)
+            record.pop("wall_clock_s")
+            data = json.dumps(record, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("experiment,fixture,code", [
+    ("energy", "energy.cfg", 0),
+    ("sweep", "sweep_boost_ladder.cfg", 0),
+    ("energy", "bad_missing_section.cfg", 2),
+    ("transition", "transition_detuned_assert.cfg", 3),
+    ("no-such-experiment", "energy.cfg", 2),  # argparse's SystemExit out of main
+])
+def test_module_cli_matches_plain_main(experiment, fixture, code, tmp_path):
+    # same outputs, stdout, stderr and exit code; a relative --out makes stdout comparable
+    args = [experiment, "--config", str(FIXTURES / fixture), "--out", "out"]
+    procs = {}
+    for name, cmd in (("module", MODULE_CLI), ("plain", PLAIN_CLI)):
+        (tmp_path / name).mkdir()
+        procs[name] = subprocess.Popen(cmd + args, cwd=tmp_path / name, env=_cli_env(),
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    done = {name: (proc.communicate(), proc.returncode) for name, proc in procs.items()}
+    assert done["module"] == done["plain"]
+    (stdout, stderr), got = done["module"]
+    assert got == code, stderr
+    assert _outputs(tmp_path / "module") == _outputs(tmp_path / "plain")
+    if code == 0:  # the one stdout line, whole through the pipe
+        assert stdout == f"{experiment}: wrote out/{experiment}_record.json\n".encode()
+        assert _outputs(tmp_path / "module")
+    else:
+        assert stdout == b"" and stderr
+
+
+@pytest.mark.parametrize("stdout", ["closed", "broken pipe"])
+def test_module_cli_exit_status_on_an_unwritable_stdout(stdout, tmp_path):
+    # a closed descriptor leaves sys.stdout None; a pipe with no reader fails the
+    # flush at exit, which the normal exit reports (status 120) whatever the route
+    args = ["energy", "--config", str(FIXTURES / "energy.cfg"), "--out", "out"]
+    procs = {}
+    for name, cmd in (("module", MODULE_CLI), ("plain", PLAIN_CLI)):
+        (tmp_path / name).mkdir()
+        if stdout == "closed":
+            cmd, write = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd], None
+        else:
+            read, write = os.pipe()
+            os.close(read)
+        procs[name] = subprocess.Popen(cmd + args, cwd=tmp_path / name, env=_cli_env(),
+                                       stdout=write, stderr=subprocess.PIPE)
+        if write is not None:
+            os.close(write)
+    done = {name: (proc.communicate()[1], proc.returncode) for name, proc in procs.items()}
+    assert done["module"] == done["plain"]
+    assert done["module"][1] == (0 if stdout == "closed" else 120), done["module"]
+
+
+def test_importing_main_module_changes_no_gc_state_and_runs_nothing():
+    sys.modules.pop("superosc.__main__", None)
+    before = (gc.isenabled(), gc.get_freeze_count())
+    module = importlib.import_module("superosc.__main__")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert callable(module.run)
+
+
+def test_fixture_runs_leave_no_unclosed_file(tmp_path):
+    # `python -m superosc` ends without teardown, where an unclosed file would
+    # warn; here every run goes through main in one -X dev interpreter whose
+    # ResourceWarnings are errors, and a full collection follows the last run
+    code = "\n".join([
+        "import gc, sys",
+        "from superosc.cli import main",
+        f"for name, experiment, fixture, _ in {FIXTURE_RUNS!r}:",
+        "    print('-- ' + name, file=sys.stderr, flush=True)",
+        f"    code = main([experiment, '--config', {str(FIXTURES)!r} + '/' + fixture,",
+        "                 '--out', 'out/' + name, '--quiet'])",
+        "    print(name, code)",
+        "gc.collect()",
+        "print('-- end', file=sys.stderr, flush=True)",
+    ])
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", code], cwd=tmp_path, env=_cli_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{name} {want}"
+                                        for name, _, _, want in FIXTURE_RUNS]
+    sections = proc.stderr.split("-- ")[1:]
+    assert [s.split("\n", 1)[0] for s in sections] == [r[0] for r in FIXTURE_RUNS] + ["end"]
+    for (name, _, _, want), section in zip(FIXTURE_RUNS, sections):
+        lines = section.splitlines()[1:]
+        if want == 0:
+            assert lines == [], (name, section)
+        elif want == 2:
+            assert len(lines) == 1 and lines[0].startswith("config error:"), section
+        else:  # the failed assertion's line, then the report as JSON
+            assert lines[0].startswith("assertion failure:"), section
+            json.loads("\n".join(lines[1:]))
+    assert sections[-1] == "end\n"
+
+
+def test_import_superosc_loads_no_numpy_or_scipy():
+    code = ("import sys, json, superosc; "
+            "bare = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')); "
+            "import superosc.synthesis; "
+            "print(json.dumps([bare, 'scipy.interpolate' in sys.modules, "
+            "'scipy.special' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], False, True]
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
+    import superosc
+
+    assert superosc.__all__ and "errors" in superosc.__all__
+    listed = dir(superosc)
+    for name in superosc.__all__:
+        assert name in listed, name
+        if name == "errors":
+            assert superosc.errors is importlib.import_module("superosc.errors")
+            continue
+        defining = importlib.import_module(f"superosc.{superosc._EXPORTS[name]}")
+        assert getattr(superosc, name) is getattr(defining, name), name
+        assert vars(superosc)[name] is getattr(defining, name), name  # kept after first use
+    namespace = {}
+    exec("from superosc import *", namespace)
+    assert set(superosc.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        superosc.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from superosc import no_such_name", {})
 
 
 def test_traced_layers_all_resolve():
@@ -669,6 +842,25 @@ def test_sweep_records_overflowing_point_and_goes_on(tmp_path, capsys):
               for line in (tmp_path / "sweep_points.jsonl").read_text().splitlines()]
     assert errors[0::2] == [None] * 3
     assert all(e.startswith("OverflowError") for e in errors[1::2]) and len(errors) == 6
+
+
+def test_sweep_refuses_overflowing_points_before_their_grids(tmp_path, capsys):
+    # boost_arccosh from 1e7 down: two focused grids past 2^24 samples, three of
+    # 5-15 million samples that overflow, and an arccosh below 1.  Every point is
+    # refused, and none of the three grids is built (building them took ~7 s, 1.5 GB)
+    from superosc import synthesis
+
+    cfg = _edited("sweep_boost_ladder.cfg", tmp_path, "sweep", "boost_arccosh",
+                  "lin:10000000.0:5.614256353455677e-13:6")
+    synthesis._unit_pair.cache_clear()
+    rc, err = _main_err("sweep", cfg, tmp_path, capsys)
+    assert rc == 0, err
+    errors = [json.loads(line)["error"]
+              for line in (tmp_path / "sweep_points.jsonl").read_text().splitlines()]
+    assert [e.split(":")[0] for e in errors] == (["ValueError"] * 2 + ["OverflowRegime"] * 3
+                                                 + ["ValueError"])
+    info = synthesis._unit_pair.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)  # three cold lookups, no entry
 
 
 def test_record_json_refuses_non_finite():

@@ -9,7 +9,10 @@ from that revision's own ``fixtures/``.  It then compares, file by file:
 
 * each run record, without ``wall_clock_s``;
 * each CSV series and ``sweep_points.jsonl``;
-* the exit code and stderr of every run.
+* the exit code, stdout and stderr of every run.  Every run but one is
+  ``--quiet``; the ``STDOUT_RUN`` run prints its "wrote" line, with the
+  output directory written as ``<out>``.  The runs' stdout is block-buffered
+  (PYTHONUNBUFFERED is dropped), so a line the process loses at exit shows.
 
 It also runs WARM_OPS (4) seeded draws of the ``pipeline_warm`` benchmark op
 on each revision, in a fresh interpreter that imports that revision's own
@@ -69,6 +72,7 @@ RUNS = [
     ("transition_detuned_assert", "transition", "transition_detuned_assert.cfg"),
     ("bad_missing_section", "energy", "bad_missing_section.cfg"),
 ]
+STDOUT_RUN = "energy"  # the one run made without --quiet
 SWEEP_SEED = 41
 SWEEP_LADDER = 10  # values per swept key: 10 x 10 points
 WARM_OPS = 4  # pipeline_warm draws per revision
@@ -97,7 +101,8 @@ def _sweep_config(fixture: Path, path: Path) -> None:
 
 def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
     """Every run on one checkout: run name -> {file name -> parsed content}."""
-    env = {k: v for k, v in os.environ.items() if k != "SUPEROSC_OUT"}
+    # without PYTHONUNBUFFERED, stdout into the pipe is block-buffered, as by default
+    env = {k: v for k, v in os.environ.items() if k not in ("SUPEROSC_OUT", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(tree / "src")
     results = {}
     for name, experiment, fixture in RUNS:
@@ -108,10 +113,11 @@ def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
         run_dir = out / name
         proc = subprocess.run(
             [sys.executable, "-m", "superosc", experiment, "--config", str(config),
-             "--out", str(run_dir), "--quiet"],
+             "--out", str(run_dir)] + ([] if name == STDOUT_RUN else ["--quiet"]),
             capture_output=True, text=True, env=env, cwd=out,
         )
         files: dict[str, object] = {"exit code": proc.returncode,
+                                    "stdout": proc.stdout.replace(str(run_dir), "<out>"),
                                     "stderr": [_tokens(line)
                                                for line in proc.stderr.splitlines()]}
         for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
