@@ -28,7 +28,7 @@ _EXPORTS = {
                      "sine_overlap_denominator"], "energy"),
     **dict.fromkeys(["CoherentAmplitudes", "ModeGrid", "amplitudes_from_spectrum",
                      "energy_before", "expectation_B"], "field"),
-    **dict.fromkeys(["frequency_profile", "window_frequency", "zero_crossings"], "frequency"),
+    **dict.fromkeys(["frequency_profile", "window_frequency"], "frequency"),
     **dict.fromkeys(["QUARTER", "THREE_QUARTER", "SuperoscParams", "WindowSpec",
                      "locked_delta"], "params"),
     "SampledSignal": "signal",

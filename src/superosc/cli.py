@@ -125,7 +125,6 @@ def config_hash(cfg: dict[str, dict[str, str]]) -> str:
 _MAX_SWEEP_POINTS = 100_000  # per ladder and for their Cartesian product
 _KEYS = {
     ("run", "experiment"): ("str", None, None),
-    ("run", "seed"): ("int", 0, None),
     ("output", "dir"): ("str", None, None),
     ("superosc", "amplitude"): ("float", 1.0, None),
     ("superosc", "boost"): ("float", None, None),  # required without boost_arccosh
@@ -158,7 +157,6 @@ _KEYS = {
     ("energy", "theta_over_pi"): ("float", 100.0, None),
     ("energy", "max_residual"): ("float", 0.05, None),
     ("energy", "ladder_over_pi"): ("floats", (40.0, 100.0, 400.0), None),
-    ("sweep", "shuffle"): ("bool", False, None),
     **{("sweep", key): ("ladder", None, None) for key in ("m_phase", "boost", "boost_arccosh",
                                                           "extent", "amplitude", "box_length",
                                                           "theta_over_pi")},
@@ -333,7 +331,7 @@ def _resolve_gap(conf: dict, pair: PairSynthesizer) -> float:
 
 def _focused_grid(pair: PairSynthesizer, pad: float = 1.0):
     """Small grid around the fast-oscillation window (no growth region)."""
-    dz = math.pi / (8.0 * pair.k_max)
+    dz = max_dz(pair.k_max) / 2.0
     z_min = -pair.extent - pad
     n = int(math.ceil((pair.extent + 2.0 * pad) / dz)) + 1
     if n > MAX_COUNT:
@@ -452,8 +450,7 @@ def run_freq_map(conf: dict) -> RunRecord:
     pair = _pair_from(conf)
     window = _window_from(conf)
     z_min, dz, n = _grid_from(conf, pair.k_max) if "grid" in conf else _focused_grid(pair)
-    sig = pair.sample(z_min, dz, n, window=window if not window.is_identity else None,
-                      label="freq-map")
+    sig = pair.sample(z_min, dz, n, window=window, label="freq-map")
     _refuse_zero_signal(pair.p1.amplitude, sig)
     frac = conf["freqmap"]["window_fraction"]
     zc = pair.extent
@@ -645,7 +642,7 @@ def _sweep_point(conf: dict, point: dict) -> dict:
 
 
 def run_sweep(conf: dict) -> tuple[RunRecord, list[dict]]:
-    ladders = {k: v for k, v in conf["sweep"].items() if k != "shuffle"}
+    ladders = conf.get("sweep", {})
     keys = list(ladders)
     if "box_length" in ladders:
         _need(conf, "modes", "uv_cutoff")
@@ -655,26 +652,17 @@ def run_sweep(conf: dict) -> tuple[RunRecord, list[dict]]:
     for k in keys:  # Cartesian product in declaration order
         points = [dict(pt, **{k: v}) for pt in points for v in ladders[k]]
 
-    order = list(range(len(points)))
-    if conf["sweep"]["shuffle"]:
-        import random
-
-        random.Random(conf["run"]["seed"]).shuffle(order)
-
-    results: dict[int, dict] = {}
-    for i in order:
+    records = []
+    for point in points:
         try:
-            payload = _sweep_point(conf, points[i])
+            payload = _sweep_point(conf, point)
             json.dumps(payload, allow_nan=False)  # a non-finite value fails the point
-            results[i] = {"point": points[i], "payload": payload, "error": None}
+            records.append({"point": point, "payload": payload, "error": None})
         except (SuperoscError, ValueError, ArithmeticError) as exc:
-            results[i] = {"point": points[i], "payload": None,
-                          "error": f"{type(exc).__name__}: {exc}"}
-
-    records = [results[i] for i in range(len(points))]  # deterministic order
+            records.append({"point": point, "payload": None,
+                            "error": f"{type(exc).__name__}: {exc}"})
     n_failed = sum(1 for r in records if r["error"])
-    payload = {"n_points": len(points), "n_failed": n_failed,
-               "keys": keys, "shuffled_execution": conf["sweep"]["shuffle"]}
+    payload = {"n_points": len(points), "n_failed": n_failed, "keys": keys}
     return RunRecord(experiment="sweep", config_hash="", payload=payload), records
 
 
@@ -702,7 +690,7 @@ def run_experiment(experiment: str, cfg: dict[str, dict[str, str]], out_dir: Pat
     """Run one experiment on a loaded config (see ``load_config``)."""
     chash = config_hash(cfg)
     conf = _parse(cfg)
-    declared = conf["run"].get("experiment")
+    declared = conf.get("run", {}).get("experiment")
     if declared and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} requested")
     t0 = time.perf_counter()
@@ -719,8 +707,22 @@ def run_experiment(experiment: str, cfg: dict[str, dict[str, str]], out_dir: Pat
     record_path = out_dir / f"{experiment.replace('-', '_')}_record.json"
     record_path.write_text(record, encoding="utf-8")
     if not quiet:
-        print(f"{experiment}: wrote {record_path}")
+        _say(f"{experiment}: wrote {record_path}")
     return rec
+
+
+def _say(line: str) -> None:
+    """Print a line to stdout, flushed: a reader that has gone costs the run nothing.
+
+    On a broken pipe, stdout is pointed at os.devnull (the Python docs' SIGPIPE
+    note), so the flush at exit succeeds and the run keeps its own status.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def resolve_out_dir(cli_out: str | None, cfg: dict | None) -> Path:

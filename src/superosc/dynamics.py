@@ -48,10 +48,11 @@ everything W depends on: the grid's z_min and dz, the reach window
 (i_lo, i_hi), z0, and the gaps and times as tuples.  An entry takes 16 bytes
 per (gap, time, sample): 0.34 MiB for a 48-point curve on the 2^16-point
 dyn grid (457 samples in the window), 0.07 MiB for a 4-gap scan at
-Omega t = 100 pi.  On 2 cores, a cold build takes about 5-9 ms for that
-curve and 12-24 ms for that scan, almost all of it the CubicSpline fits; a
-warm call is the bounds checks, one lookup and one real matrix-vector
-product, 15-25 us against 1.2-1.5 ms for a spline fitted per call.  A
+Omega t = 100 pi.  On 2 cores, a cold build takes about 10-11 ms for that
+curve and 28-29 ms for that scan (7-8 and 16-18 ms on the 2^15-point grid),
+almost all of it the CubicSpline fits; a warm call is the bounds checks, one
+lookup and one real matrix-vector product, 22-31 us against 0.56-1.04 ms
+for a spline fitted per call, 0.20-0.30 ms of that the fit alone.  A
 complex signal's samples make numpy cast W for that call.  A key above
 MATRIX_MAX_ENTRIES (gap, time, sample) entries (16 MiB) builds no W: Phi is
 applied to the samples' own spline over the reach window, one column, so
@@ -70,7 +71,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateDenominator, DomainError, InsufficientData
-from .signal import SampledSignal
+from .signal import SampledSignal, grid_points
 
 BREAKDOWN_THRESHOLD = 0.1  # first-order validity guard on P
 MIN_REL_DETUNING = 0.1  # a selectivity probe is detuned by at least this fraction of the gap
@@ -217,7 +218,7 @@ def _detector_matrix(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
     parts of A, then its imaginary parts.  Each block of BLOCK_COLUMNS columns
     is Phi times the splines of its unit samples (module docstring).
     """
-    x = z_min + dz * np.arange(i_lo, i_hi)
+    x = grid_points(z_min, dz, np.arange(i_lo, i_hi))
     w = _piece_weights(x, np.array(gaps), z0, np.array(times))
     m = x.size
     matrix = np.zeros((2 * len(gaps), len(times), m))

@@ -32,8 +32,8 @@ antiderivative in the sine and cosine integrals (DLMF 6.2)
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from scipy.special import sici
 
@@ -103,7 +103,7 @@ def compute_I3(grid: ModeGrid, gap_frequency: float, t: float,
     return i3
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EnergyReport:
     energy_before: float
     i1: float
@@ -116,17 +116,7 @@ class EnergyReport:
     warnings: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "energy_before": self.energy_before,
-            "i1": self.i1,
-            "i2": self.i2,
-            "i3": self.i3,
-            "energy_after": self.energy_after,
-            "gap_energy": self.gap_energy,
-            "residual": self.residual,
-            "params": dict(self.params),
-            "warnings": list(self.warnings),
-        }
+        return dataclasses.asdict(self)
 
 
 def energy_balance(ca: CoherentAmplitudes, particle: TwoLevelParticle, t: float,

@@ -114,10 +114,6 @@ class ModeGrid:
     def dk(self) -> float:
         return 2.0 * math.pi / self.box_length
 
-    @property
-    def omega(self) -> np.ndarray:
-        return self.wavenumbers  # c = 1
-
     @classmethod
     def for_box(cls, box_length: float, k_cut: float,
                 uv_cutoff: float | None = None) -> "ModeGrid":
@@ -160,10 +156,6 @@ class CoherentAmplitudes:
                 f"sample box {self.n_samples} x {self.dz} != mode grid box "
                 f"{self.grid.box_length}"
             )
-
-    @property
-    def mean_photon_numbers(self) -> np.ndarray:
-        return np.abs(self.alpha) ** 2
 
     def spectral_values(self) -> np.ndarray:
         """F(k) on the mode lattice, inverted from the amplitudes."""
@@ -227,7 +219,7 @@ def energy_before(ca: CoherentAmplitudes) -> EnergyBefore:
         density = np.abs(ca.spectral_values())
         np.square(density, out=density)
         spectral = (L**2 / (4.0 * math.pi**2)) * _trapezoid(density, tables.steps)
-        weighted = np.abs(ca.alpha)  # omega |alpha|^2, as omega * mean_photon_numbers
+        weighted = np.abs(ca.alpha)  # omega |alpha|^2, omega = k
         np.square(weighted, out=weighted)
         np.multiply(tables.k, weighted, out=weighted)
         mode_sum = (L / (2.0 * math.pi)) * _trapezoid(weighted, tables.steps)

@@ -38,6 +38,11 @@ def _lock_budget(m_phase: int, branch: str) -> float:
     return 2.0 * math.pi * m_phase + _LOCK_OFFSET[branch]
 
 
+def growth_peak_position(inv_sq_delta: float, boost: float, band_limit: float) -> float:
+    """z of the exponential-growth maximum, 2 cosh(A) / (k0 delta^2)."""
+    return 2.0 * math.cosh(boost) * inv_sq_delta / band_limit
+
+
 def locked_delta(m_phase: int, branch: str) -> float:
     """Sharpness value whose inverse square hits the requested phase lock."""
     if branch not in _LOCK_OFFSET:
@@ -130,8 +135,7 @@ class SuperoscParams:
 
     @property
     def growth_peak_z(self) -> float:
-        """Location of the exponential-growth maximum, 2*cosh(A)/(k0*delta^2)."""
-        return 2.0 * math.cosh(self.boost) * self.inv_sq_delta / self.band_limit
+        return growth_peak_position(self.inv_sq_delta, self.boost, self.band_limit)
 
     @property
     def log_growth_peak_magnitude(self) -> float:
@@ -145,8 +149,8 @@ class SuperoscParams:
 
     @property
     def far_field_onset(self) -> float:
-        """|z| beyond which the waveform settles to slow oscillation at k0."""
-        return 4.0 * math.cosh(self.boost) * self.inv_sq_delta / self.band_limit
+        """|z| past which the waveform settles to slow oscillation at k0: twice growth_peak_z."""
+        return 2.0 * self.growth_peak_z
 
     def superosc_wavenumber(self, branch_sign: int | None = None) -> float:
         sign = self.branch_sign if branch_sign is None else branch_sign

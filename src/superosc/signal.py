@@ -5,7 +5,8 @@ discrete Fourier analysis treats as the periodic box, so spectral spacing is
 exactly 2*pi/(n*dz).
 
 A signal stores its box (z_min, dz and the sample count), not the sample
-positions: ``z`` is built from z[i] = z_min + dz * i on first use only.
+positions: ``z`` is built from z[i] = z_min + dz * i on first use only, by
+``grid_points``, the one array form of that formula every module uses.
 Readers of a window take its index range from ``index_range``, which bisects
 that formula with the comparisons of the mask z_lo <= z <= z_hi and so
 selects the same samples, and build only those positions with ``z_slice``.
@@ -31,6 +32,11 @@ import numpy as np
 def max_dz(k_max: float) -> float:
     """Sampling rule: 8 samples per period of the fastest oscillation, dz <= pi / (4 k_max)."""
     return math.pi / (4.0 * k_max)
+
+
+def grid_points(z_min: float, dz: float, index) -> np.ndarray:
+    """Grid positions z_min + dz * i at the integer indices ``index`` (an array or a list)."""
+    return z_min + dz * np.array(index, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +81,7 @@ class SampledSignal:
 
     def z_slice(self, i_lo: int, i_hi: int) -> np.ndarray:
         """z[i_lo:i_hi] without building ``z``, bit for bit."""
-        return self.z_min + self.dz * np.arange(i_lo, i_hi)
+        return grid_points(self.z_min, self.dz, np.arange(i_lo, i_hi))
 
     def index_range(self, z_lo: float, z_hi: float) -> tuple[int, int]:
         """(i_lo, i_hi), i_lo <= i_hi, such that z[i_lo:i_hi] is z[(z >= z_lo) & (z <= z_hi)].
@@ -98,10 +104,6 @@ class SampledSignal:
     @property
     def box_length(self) -> float:
         return self.n * self.dz
-
-    @property
-    def real_valued(self) -> bool:
-        return not np.iscomplexobj(self.values)
 
     def index_of(self, z: float) -> int:
         """Nearest grid index; raises if z is outside the grid."""

@@ -98,16 +98,9 @@ class SpectralDensity:
         k <= k_hi, and summed as a slice; ``k`` and ``values`` are not built.
         The magnitudes are put in signed order before they are scaled and
         squared in place, so the sums see the values, in the order, of
-        |values| / max |values| squared.  A full transform is shifted as its
-        magnitudes are taken, with no shifted copy.
+        |values| / max |values| squared.
         """
-        t = self.transform
-        if t.size == self.n_samples:
-            energy = np.empty(t.size)
-            for src, dst in _roll_pairs(t, energy, t.size // 2):
-                np.abs(src, out=dst)
-        else:
-            energy = self._signed_order(np.abs(t))
+        energy = self._signed_order(np.abs(self.transform))
         top = energy.max()
         if top == 0.0:
             return 1.0  # vacuum spectrum is trivially confined

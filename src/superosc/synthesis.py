@@ -48,8 +48,8 @@ im are both negative), so signed zeros in underflowed tails match too.
 Caching: on a regular grid z_min + dz * arange(n) everything but log|a| is
 the same for every amplitude.  ``_unit_pair`` keeps it in a bounded LRU
 cache, keyed by the pair without |a| -- each component's (delta,
-inv_sq_delta, sign of a), boost, band_limit, branch, the window's half_width
-(0 for none) and the grid (z_min, dz, n) -- maxsize 4, 1.5 MiB per entry at
+inv_sq_delta, sign of a), boost, band_limit, branch, the window and the
+grid (z_min, dz, n) -- maxsize 4, 1.5 MiB per entry at
 n = 2^16: the unit-amplitude ``peak``, its maximum ``top``, and re + i im as
 one complex array, read-only.  An op on a warm entry is one overflow check
 (log|a| + top against LOG_DOUBLE_MAX), one exp and one product per sample.
@@ -103,10 +103,10 @@ import numpy as np
 from scipy.special import i0e, j0
 
 from .errors import DomainError, OverflowRegime, PhaseLockViolation, QuadratureNoConvergence
-from .params import QUARTER, THREE_QUARTER, SuperoscParams, WindowSpec
+from .params import QUARTER, THREE_QUARTER, SuperoscParams, WindowSpec, growth_peak_position
 # adaptive_gk is no longer called here; the benchmark tracer looks the name up in this module.
 from .quadrature import QuadResult, adaptive_gk  # noqa: F401
-from .signal import SampledSignal
+from .signal import SampledSignal, grid_points
 
 # Double-precision exponent budget, slightly under log(DBL_MAX) = 709.78.
 LOG_DOUBLE_MAX = 709.0
@@ -164,10 +164,6 @@ def _bessel_kernel(inv_sq_delta: float, boost: float, band_limit: float, z) -> _
     return _Branches(base, extra, sign)
 
 
-def _grid(z_min: float, dz: float, n: int) -> np.ndarray:
-    return z_min + dz * np.arange(n)
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.flags.writeable = False
@@ -199,7 +195,7 @@ class _Unkeyed:
         return isinstance(other, _Unkeyed)
 
 
-def _unit_logs(c1: tuple, c2: tuple, boost: float, band_limit: float, half_width: float,
+def _unit_logs(c1: tuple, c2: tuple, boost: float, band_limit: float, window: WindowSpec,
                z: np.ndarray) -> tuple:
     """(l1, s1, l2, s2) on points z: each component's log-magnitude at unit
     |amplitude|, window included, and the sign of its Bessel factor."""
@@ -208,8 +204,8 @@ def _unit_logs(c1: tuple, c2: tuple, boost: float, band_limit: float, half_width
         b = _bessel_kernel(inv_sq_delta, boost, band_limit, z)
         logs += [_logmag(1.0, delta, b), b.sign]
     l1, s1, l2, s2 = logs
-    if half_width != 0.0:
-        logh = WindowSpec(half_width=half_width).log_profile(z)
+    if not window.is_identity:
+        logh = window.log_profile(z)
         l1 += logh
         l2 += logh
     return l1, s1, l2, s2
@@ -225,12 +221,12 @@ def _refuse_overflow(log_magnitude: float) -> None:
 
 
 def _refuse_before_build(c1: tuple, c2: tuple, boost: float, band_limit: float,
-                         half_width: float, grid: tuple, log_amplitude: float) -> None:
+                         window: WindowSpec, grid: tuple, log_amplitude: float) -> None:
     """Raise OverflowRegime if a few grid points already overflow, before the grid is built.
 
     The points are the grid ends and, for each component, the grid point
-    nearest its growth peak 2 cosh(A)/(k0 delta^2) (``growth_peak_z``),
-    clipped to the grid, each as ``_grid`` computes it.  A point's unit
+    nearest its growth peak (``params.growth_peak_position``),
+    clipped to the grid, each as ``grid_points`` computes it.  A point's unit
     log-peak is at most the grid's maximum, so this refuses only what the
     full check after the build would refuse; it saves building, say, a 2^24
     sample grid to refuse it.
@@ -238,10 +234,10 @@ def _refuse_before_build(c1: tuple, c2: tuple, boost: float, band_limit: float,
     z_min, dz, n = grid
     index = [0, n - 1]
     for _, inv_sq_delta, _ in (c1, c2):
-        peak_z = 2.0 * math.cosh(boost) * inv_sq_delta / band_limit
+        peak_z = growth_peak_position(inv_sq_delta, boost, band_limit)
         index.append(min(max(round((peak_z - z_min) / dz), 0), n - 1))
-    z = z_min + dz * np.array(sorted(set(index)), dtype=float)
-    l1, _, l2, _ = _unit_logs(c1, c2, boost, band_limit, half_width, z)
+    z = grid_points(z_min, dz, sorted(set(index)))
+    l1, _, l2, _ = _unit_logs(c1, c2, boost, band_limit, window, z)
     _refuse_overflow(log_amplitude + float(np.maximum(l1, l2).max()))
 
 
@@ -255,12 +251,12 @@ class _UnitPair(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: int,
-               half_width: float, grid: tuple, log_amplitude: _Unkeyed) -> _UnitPair:
+               window: WindowSpec, grid: tuple, log_amplitude: _Unkeyed) -> _UnitPair:
     """The pair's unit-amplitude combine on ``grid`` = (z_min, dz, n), cached read-only.
 
-    ``c1`` and ``c2`` are the components' (delta, inv_sq_delta, amplitude < 0);
-    half_width 0 is no window.  With signs s1, s2 in {-1, 0, 1},
-    F1 = s1 e^l1 (cos + i sin) and F2 = s2 e^l2 (cos + i sin); scaled by the
+    ``c1`` and ``c2`` are the components' (delta, inv_sq_delta, amplitude < 0).
+    With signs s1, s2 in {-1, 0, 1}, F1 = s1 e^l1 (cos + i sin) and
+    F2 = s2 e^l2 (cos + i sin); scaled by the
     larger log-magnitude, the pair is ((cos A - sin B) + i (sin A + cos B)) e^peak
     with A = s1 e^(l1 - peak) and B = branch s2 e^(l2 - peak).
 
@@ -268,9 +264,10 @@ def _unit_pair(c1: tuple, c2: tuple, boost: float, band_limit: float, branch: in
     ``_refuse_before_build`` before the grid is built.
     """
     (_, _, negative1), (_, _, negative2) = c1, c2
-    _refuse_before_build(c1, c2, boost, band_limit, half_width, grid, log_amplitude.value)
-    z = _grid(*grid)
-    l1, s1, l2, s2 = _unit_logs(c1, c2, boost, band_limit, half_width, z)
+    _refuse_before_build(c1, c2, boost, band_limit, window, grid, log_amplitude.value)
+    z_min, dz, n = grid
+    z = grid_points(z_min, dz, np.arange(n))
+    l1, s1, l2, s2 = _unit_logs(c1, c2, boost, band_limit, window, z)
     peak = np.maximum(l1, l2)
     top = float(peak.max())
     peak[np.isneginf(peak)] = 0.0
@@ -493,7 +490,7 @@ class PairSynthesizer:
     def extent(self) -> float:
         return self.p1.extent
 
-    def _unit(self, window: WindowSpec | None, grid: tuple) -> _UnitPair:
+    def _unit(self, window: WindowSpec, grid: tuple) -> _UnitPair:
         """The pair's cached unit-amplitude combine on ``grid`` = (z_min, dz, n).
 
         The amplitude must be nonzero.
@@ -502,11 +499,10 @@ class PairSynthesizer:
         # combine_pair guarantees a shared boost, band limit and amplitude magnitude
         return _unit_pair((p1.delta, p1.inv_sq_delta, p1.amplitude < 0.0),
                           (p2.delta, p2.inv_sq_delta, p2.amplitude < 0.0),
-                          p1.boost, p1.band_limit, self.branch,
-                          0.0 if window is None else window.half_width, grid,
+                          p1.boost, p1.band_limit, self.branch, window, grid,
                           _Unkeyed(math.log(abs(p1.amplitude))))
 
-    def _combine(self, window: WindowSpec | None, grid: tuple,
+    def _combine(self, window: WindowSpec, grid: tuple,
                  imag_only: bool = False) -> np.ndarray:
         """F1 + branch * i * F2 on ``grid`` = (z_min, dz, n), or only its imaginary part.
 
@@ -538,7 +534,7 @@ class PairSynthesizer:
         z_min: float,
         dz: float,
         n: int,
-        window: WindowSpec | None = None,
+        window: WindowSpec = WindowSpec(),
         label: str = "",
     ) -> SampledSignal:
         vals = self._combine(window, (z_min, dz, n))
@@ -549,7 +545,7 @@ class PairSynthesizer:
         z_min: float,
         dz: float,
         n: int,
-        window: WindowSpec | None = None,
+        window: WindowSpec = WindowSpec(),
         label: str = "",
     ) -> SampledSignal:
         """Imaginary part of the combination: ~ amplitude*sin(k' z) in-window."""
@@ -583,7 +579,7 @@ def make_real_superosc(
     z_min: float,
     dz: float,
     n: int,
-    window: WindowSpec | None = None,
+    window: WindowSpec = WindowSpec(),
     label: str = "",
 ) -> SampledSignal:
     """Real signal ~ amplitude * sin(target_wavenumber * z) inside the window.
@@ -607,13 +603,13 @@ def sample_component(
     z_min: float,
     dz: float,
     n: int,
-    window: WindowSpec | None = None,
+    window: WindowSpec = WindowSpec(),
     label: str = "",
 ) -> SampledSignal:
     """Sample one component (closed-form route), optionally windowed in log space."""
-    z = _grid(z_min, dz, n)
+    z = grid_points(z_min, dz, np.arange(n))
     logmag, unit = component_log(p, z)
-    if window is not None and not window.is_identity:
+    if not window.is_identity:
         logmag = logmag + window.log_profile(z)
     if np.any(logmag > LOG_DOUBLE_MAX):
         raise OverflowRegime(

@@ -32,7 +32,11 @@ computes another way:
   cached tables of ``field``, bit for bit;
 * ``lstsq_sine_amplitude`` -- the matched sine amplitude from
   ``np.linalg.lstsq`` on the n x 2 sin/cos basis, against the closed-form
-  normal equations of ``dynamics.matched_sine_amplitude``.
+  normal equations of ``dynamics.matched_sine_amplitude``;
+* ``zero_crossings`` and ``crossing_frequency`` -- a real signal's local
+  wavenumber as pi over the spacing of its zero crossings, against the
+  wavenumber its complex pair is built for (``frequency`` measures complex
+  signals only).
 
 ``growth_region`` only picks test points.
 """
@@ -197,7 +201,7 @@ def _mode_sum(k: np.ndarray, a: np.ndarray, b: np.ndarray, z, t: float) -> np.nd
 
 def mode_sum_B(ca: CoherentAmplitudes, z, t: float = 0.0):
     """Field expectation at points z (scalar or array) and time t, mode by mode."""
-    coeff = np.sqrt(8.0 * math.pi * ca.grid.omega / ca.grid.box_length**3)
+    coeff = np.sqrt(8.0 * math.pi * ca.grid.wavenumbers / ca.grid.box_length**3)  # omega = k
     out = _mode_sum(ca.grid.wavenumbers, coeff * np.imag(ca.alpha),
                     coeff * np.real(ca.alpha), z, t)
     return out if out.size > 1 else float(out[0])
@@ -301,3 +305,23 @@ def lstsq_sine_amplitude(s: SampledSignal, wavenumber: float, z_lo: float,
     basis = np.column_stack([np.sin(wavenumber * zw), np.cos(wavenumber * zw)])
     coeff, *_ = np.linalg.lstsq(basis, np.real(s.values[i_lo:i_hi]), rcond=None)
     return float(np.hypot(*coeff))
+
+
+def zero_crossings(s: SampledSignal) -> np.ndarray:
+    """Positions of sign changes of a real signal, linearly interpolated between
+    samples; an exact-zero sample counts as a crossing."""
+    v = np.real(s.values)
+    sgn = np.sign(v)
+    flip = np.where(sgn[:-1] * sgn[1:] < 0)[0]
+    pos = (s.z_min + s.dz * flip) - v[flip] * s.dz / (v[flip + 1] - v[flip])
+    exact = s.z_min + s.dz * np.where(v == 0.0)[0]
+    return np.unique(np.concatenate([pos, exact]))
+
+
+def crossing_frequency(s: SampledSignal, z_lo: float, z_hi: float) -> float:
+    """Mean of pi over the spacings of the zero crossings inside [z_lo, z_hi]."""
+    crossings = zero_crossings(s)
+    inside = crossings[(crossings >= z_lo) & (crossings <= z_hi)]
+    if inside.size < 2:
+        raise ValueError(f"fewer than two zero crossings in [{z_lo}, {z_hi}]")
+    return float(np.mean(np.pi / np.diff(inside)))

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superosc import SuperoscParams, combine_pair, sample_component
+from superosc import SuperoscParams, WindowSpec, combine_pair, sample_component
 from superosc import synthesis
 from superosc.cli import _window_from
 from superosc.errors import OverflowRegime
@@ -42,6 +42,11 @@ def _pair_grid(pair):
     return z_min, dz, int((hi + 30.0 - z_min) / dz)
 
 
+def _window_kw(window):
+    """The window keyword of a sampler call; None passes none, so the default applies."""
+    return {} if window is None else {"window": window}
+
+
 def _component_reference(p, z, window):
     """sample_component's values from the uncached component_log."""
     logmag, unit = component_log(p, z)
@@ -59,8 +64,8 @@ def test_cached_pair_samples_equal_uncached(window):
             z_min, dz, n = _pair_grid(pair)
             z = z_min + dz * np.arange(n)
             ref = all_points_pair(pair, z, window)
-            assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
-            assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,
+            assert np.array_equal(pair.sample(z_min, dz, n, **_window_kw(window)).values, ref)
+            assert np.array_equal(pair.sample_real(z_min, dz, n, **_window_kw(window)).values,
                                   np.imag(ref))
     assert synthesis._unit_pair.cache_info().hits > 0
 
@@ -75,7 +80,7 @@ def test_cached_component_samples_equal_uncached(window):
             z_min, dz = z_lo - 20.0, MILD["grid"]["dz"]
             n = int((z_hi + 20.0 - z_min) / dz)
             z = z_min + dz * np.arange(n)
-            got = sample_component(p, z_min, dz, n, window=window).values
+            got = sample_component(p, z_min, dz, n, **_window_kw(window)).values
             assert np.array_equal(got, _component_reference(p, z, window))
 
 
@@ -156,7 +161,7 @@ def test_overflow_threshold_unchanged():
     _clear()
     grid = _pair_grid(mild_pair_of(1.0))
     z = grid[0] + grid[1] * np.arange(grid[2])
-    top = mild_pair_of(1.0)._unit(None, grid).top
+    top = mild_pair_of(1.0)._unit(WindowSpec(), grid).top
     for excess, refused in ((-0.01, False), (0.01, True)):
         pair = mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + excess)))
         for values in (lambda: pair.sample(*grid).values, lambda: pair.sample_real(*grid).values,
@@ -174,7 +179,7 @@ def test_overflow_probe_refuses_only_what_the_build_would(window, monkeypatch):
     # the grid's own threshold it refuses nothing, and what it refuses leaves no entry
     grid = _pair_grid(mild_pair_of(1.0))
     _clear()
-    top = mild_pair_of(1.0)._unit(window, grid).top
+    top = mild_pair_of(1.0)._unit(window or WindowSpec(), grid).top
     probes = []
     probe = synthesis._refuse_before_build
     monkeypatch.setattr(synthesis, "_refuse_before_build",
@@ -183,11 +188,12 @@ def test_overflow_probe_refuses_only_what_the_build_would(window, monkeypatch):
         _clear()
         for _ in range(2):  # cold, then warm
             pair = mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + excess)))
-            assert np.isfinite(pair.sample(*grid, window=window).values).all()
+            assert np.isfinite(pair.sample(*grid, **_window_kw(window)).values).all()
     assert len(probes) == 2
     _clear()
     with pytest.raises(OverflowRegime):
-        mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + 5.0))).sample(*grid, window=window)
+        mild_pair_of(float(np.exp(LOG_DOUBLE_MAX - top + 5.0))).sample(*grid,
+                                                                       **_window_kw(window))
     assert len(probes) == 3 and synthesis._unit_pair.cache_info().currsize == 0
 
 

@@ -180,11 +180,15 @@ def test_module_cli_matches_plain_main(experiment, fixture, code, tmp_path):
         assert stdout == b"" and stderr
 
 
-@pytest.mark.parametrize("stdout", ["closed", "broken pipe"])
+@pytest.mark.parametrize("stdout", ["closed", "broken pipe", "broken pipe, unbuffered"])
 def test_module_cli_exit_status_on_an_unwritable_stdout(stdout, tmp_path):
     # a closed descriptor leaves sys.stdout None; a pipe with no reader fails the
-    # flush at exit, which the normal exit reports (status 120) whatever the route
+    # "wrote" line, block-buffered or not: either way each route writes every file
+    # and exits with the run's own status, 0, with nothing on stderr
     args = ["energy", "--config", str(FIXTURES / "energy.cfg"), "--out", "out"]
+    env = _cli_env()
+    if stdout.endswith("unbuffered"):
+        env["PYTHONUNBUFFERED"] = "1"
     procs = {}
     for name, cmd in (("module", MODULE_CLI), ("plain", PLAIN_CLI)):
         (tmp_path / name).mkdir()
@@ -193,13 +197,14 @@ def test_module_cli_exit_status_on_an_unwritable_stdout(stdout, tmp_path):
         else:
             read, write = os.pipe()
             os.close(read)
-        procs[name] = subprocess.Popen(cmd + args, cwd=tmp_path / name, env=_cli_env(),
+        procs[name] = subprocess.Popen(cmd + args, cwd=tmp_path / name, env=env,
                                        stdout=write, stderr=subprocess.PIPE)
         if write is not None:
             os.close(write)
     done = {name: (proc.communicate()[1], proc.returncode) for name, proc in procs.items()}
-    assert done["module"] == done["plain"]
-    assert done["module"][1] == (0 if stdout == "closed" else 120), done["module"]
+    assert done == {"module": (b"", 0), "plain": (b"", 0)}
+    assert _outputs(tmp_path / "module") == _outputs(tmp_path / "plain")
+    assert "energy_record.json" in _outputs(tmp_path / "module")
 
 
 def test_importing_main_module_changes_no_gc_state_and_runs_nothing():
@@ -537,6 +542,24 @@ def test_sweep_delta_ladder_window_extent(tmp_path):
     assert all(pt["payload"]["certificate_ok"] for pt in points)
 
 
+@pytest.mark.parametrize("measured,ok", [
+    (101.0, True), (math.nextafter(101.0, math.inf), False),
+    (99.0, True), (math.nextafter(99.0, -math.inf), False),
+])
+def test_sweep_certificate_ok_at_the_one_percent_bound(measured, ok, monkeypatch):
+    # boost 0 and k0 = 100 make the target wavenumber exactly 100, so a measured
+    # 101 or 99 is a rel_dev of exactly 0.01, and one ulp further is past it
+    import superosc.cli as cli
+
+    conf = cli._parse({"superosc": {"m_phase": "2000", "boost": "0", "band_limit": "100",
+                                    "extent": "5"}})
+    monkeypatch.setattr(cli, "window_frequency", lambda s, lo, hi: measured)
+    out = cli._sweep_point(conf, {})
+    assert out["target_wavenumber"] == 100.0
+    assert (out["rel_dev"] == 0.01) is ok
+    assert out["certificate_ok"] is ok
+
+
 @pytest.mark.parametrize("ladder", ["list:5,nan", "lin:1:inf:3"])
 def test_sweep_non_finite_ladder_exits_2(ladder, tmp_path, capsys):
     cfg = tmp_path / "nonfinite.cfg"
@@ -667,8 +690,8 @@ def _main_err(experiment, cfg, out_dir, capsys):
     ("transition_detuned_assert.cfg", "transition", "transition", "assert_quadatic", "true",
      "unknown key [transition] assert_quadatic"),
     ("synth.cfg", "synth", "grdi", "dz", "0.1", "unknown section [grdi]"),
-    ("sweep_boost_ladder.cfg", "sweep", "sweep", "shuffle", "maybe",
-     "[sweep] shuffle = 'maybe': not a boolean"),
+    ("transition.cfg", "transition", "transition", "assert_quadratic", "maybe",
+     "[transition] assert_quadratic = 'maybe': not a boolean"),
     ("spectrum_cert.cfg", "spectrum", "superosc", "m_phase", "1e3",
      "[superosc] m_phase = '1e3': not an integer"),
     ("transition_detuned_assert.cfg", "transition", "transition", "exponent_range", "1.95",
@@ -677,7 +700,7 @@ def _main_err(experiment, cfg, out_dir, capsys):
      "[transition] exponent_range = '2.05, 1.95': not two values lo < hi"),
     ("transition.cfg", "transition", "transition", "exponent_range", "1.9, 2.0, 2.1",
      "[transition] exponent_range = '1.9, 2.0, 2.1': not two values lo < hi"),
-], ids=["key-typo", "section-typo", "shuffle-maybe", "m_phase-1e3", "exponent_range-one",
+], ids=["key-typo", "section-typo", "assert_quadratic-maybe", "m_phase-1e3", "exponent_range-one",
         "exponent_range-reversed", "exponent_range-three"])
 def test_config_typos_exit_2_with_one_message(fixture, experiment, section, key, value,
                                               message, tmp_path, capsys):

@@ -628,6 +628,29 @@ def test_selectivity_refuses_zero_probes():
         scan.selectivity(2.0)
 
 
+def test_breakdown_flag_at_its_threshold():
+    # P = 0.1 is still first order; one ulp above it is not
+    at, past = 0.1, math.nextafter(0.1, 1.0)
+    curve = ProbabilityCurve(times=np.array([1.0, 2.0]), values=np.array([at, past]),
+                             gap_frequency=OMEGA, coupling=1.0)
+    assert curve.breakdown.tolist() == [False, True]
+    assert curve.any_breakdown
+
+
+@pytest.mark.parametrize("probe", [11.0, 9.0])
+def test_selectivity_counts_a_probe_detuned_by_exactly_ten_percent(probe):
+    # |probe - 10| is exactly 1 = 10% of the matched gap; one ulp closer is not a probe
+    from superosc.dynamics import DetuningScan
+
+    scan = DetuningScan(gaps=np.array([10.0, probe]), probabilities=np.array([4.0, 2.0]),
+                        t=1.0, coupling=1.0)
+    assert scan.selectivity(10.0) == 2.0
+    closer = DetuningScan(gaps=np.array([10.0, math.nextafter(probe, 10.0)]),
+                          probabilities=np.array([4.0, 2.0]), t=1.0, coupling=1.0)
+    with pytest.raises(InsufficientData, match="no probe detuned"):
+        closer.selectivity(10.0)
+
+
 # ------------------------------------------ properties of the detector ----
 
 _T_CURVE = np.geomspace(5 * 2 * math.pi / OMEGA, 50.0, 16)

@@ -10,7 +10,9 @@ from superosc import (
     frequency_profile,
     window_frequency,
 )
-from superosc.errors import EdgeError, NodeError
+from superosc.errors import DomainError, EdgeError
+
+from oracles import crossing_frequency
 
 
 def _around(s, z, k, periods=1.5):
@@ -29,11 +31,17 @@ def test_pure_phase_ramp_exact():
     assert window_frequency(s, -50.0, 50.0) == pytest.approx(1.7, rel=1e-6)
 
 
+def _crossings_around(s, z, k, periods=1.5):
+    """``_around`` for a real signal, by the zero-crossing oracle."""
+    half = periods * 2.0 * math.pi / k
+    return crossing_frequency(s, z - half, z + half)
+
+
 def test_pure_sine_crossing_estimator():
     dz = 0.19
     z = -60.0 + dz * np.arange(1024)
     s = SampledSignal(z_min=-60.0, dz=dz, values=np.sin(1.3 * z), k_max=2.0)
-    assert _around(s, 0.0, 1.3) == pytest.approx(1.3, rel=1e-3)
+    assert _crossings_around(s, 0.0, 1.3) == pytest.approx(1.3, rel=1e-3)
 
 
 def test_edge_error_near_boundary():
@@ -61,13 +69,13 @@ def test_pointwise_frequency_mid_window_m300():
 def test_far_field_frequency_near_band_limit(mild_pair_real, mild_pair):
     z_far = -100.0 * math.cosh(1.0) * mild_pair.p1.inv_sq_delta
     assert mild_pair_real.covers(z_far, 0.0)
-    k_far = _around(mild_pair_real, z_far, 1.0)
+    k_far = _crossings_around(mild_pair_real, z_far, 1.0)
     assert abs(k_far - 1.0) < 0.05
 
 
 def test_real_window_frequency_dyn(dyn_signal, dyn_pair):
     zc = dyn_pair.extent
-    measured = window_frequency(dyn_signal, -0.9 * zc, -0.1 * zc)
+    measured = crossing_frequency(dyn_signal, -0.9 * zc, -0.1 * zc)
     assert abs(measured - 2.0) / 2.0 < 0.01
 
 
@@ -106,19 +114,20 @@ def test_real_pointwise_frequency_across_window(dyn_signal, dyn_pair):
     # across the middle 80%
     zc = dyn_pair.extent
     for zq in np.linspace(-0.9 * zc, -0.1 * zc, 9):
-        k = _around(dyn_signal, float(zq), 2.0)
+        k = _crossings_around(dyn_signal, float(zq), 2.0)
         assert abs(k - 2.0) / 2.0 < 0.01
 
 
-def test_real_dead_zone_raises_node_error():
-    # oscillation confined to z < -30; a window on the flat stretch far from
-    # every crossing must refuse
+def test_real_signal_is_refused():
+    # a real signal has no phase; the profile and its mean refuse it, even on a
+    # window where it oscillates
     dz = 0.2
     z = -100.0 + dz * np.arange(1024)
     vals = np.where(z < -30.0, np.sin(1.5 * z), 1e-30)
     s = SampledSignal(z_min=-100.0, dz=dz, values=vals, k_max=2.0)
-    with pytest.raises(NodeError):
-        window_frequency(s, -10.0, 0.0)
+    for measure in (frequency_profile, window_frequency):
+        with pytest.raises(DomainError, match="real signal"):
+            measure(s, -60.0, -40.0)
 
 
 def _whole_grid_profile(s, z_lo, z_hi):

@@ -20,7 +20,6 @@ from superosc.errors import (
     PhaseLockViolation,
     QuadratureNoConvergence,
 )
-from superosc.frequency import zero_crossings
 from superosc.params import QUARTER
 from superosc.synthesis import INTEGRAL_HONEST_CAP
 
@@ -29,7 +28,7 @@ from superosc.cli import _grid_from, _pair_from, _window_from
 from conftest import (MILD_PAIR_DZ, MILD_PAIR_WINDOW, mild_component, mild_pair_of,
                       regime)
 from oracles import (all_points_component_log, all_points_pair, growth_region, in_log_pair,
-                     radicand, synth_asymptotic)
+                     radicand, synth_asymptotic, zero_crossings)
 
 # Frozen closed-form oracle values (mpmath, 30 digits):
 #   J0(4)                                  = -0.397149809863847372...
@@ -499,7 +498,7 @@ def test_masked_pair_samples_match_all_points(amplitude):
     z_min, dz = lo - 30.0, MILD_PAIR_DZ
     n = int((hi + 30.0 - z_min) / dz)
     z = z_min + dz * np.arange(n)
-    for window in (None, MILD_PAIR_WINDOW):
+    for window in (WindowSpec(), MILD_PAIR_WINDOW):
         ref = all_points_pair(pair, z, window)
         assert np.array_equal(pair.sample(z_min, dz, n, window=window).values, ref)
         assert np.array_equal(pair.sample_real(z_min, dz, n, window=window).values,

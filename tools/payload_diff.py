@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import io
@@ -53,6 +54,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,6 +79,7 @@ SWEEP_SEED = 41
 SWEEP_LADDER = 10  # values per swept key: 10 x 10 points
 WARM_OPS = 4  # pipeline_warm draws per revision
 WARM_SEED = 41
+GOLDEN_ROWS = 4096  # rows a golden series keeps; see ``thinned``
 # a number standing alone in a line of text: not part of a word or a hex digest
 _NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
 
@@ -99,6 +102,33 @@ def _sweep_config(fixture: Path, path: Path) -> None:
         cfg.write(fh)
 
 
+def _config(tree: Path, name: str, fixture: str, out: Path) -> Path:
+    """The config of one run: the fixture, or for the sweep its seeded copy in ``out``."""
+    config = tree / "fixtures" / fixture
+    if name == "sweep":
+        _sweep_config(config, out / "sweep.cfg")
+        return out / "sweep.cfg"
+    return config
+
+
+def _outputs(run_dir: Path, code: int, stdout: str, stderr: str) -> dict[str, object]:
+    """One run's exit code, stdout, stderr and files, parsed: file name -> content."""
+    files: dict[str, object] = {"exit code": code,
+                                "stdout": stdout.replace(str(run_dir), "<out>"),
+                                "stderr": [_tokens(line) for line in stderr.splitlines()]}
+    for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            record = json.loads(text)
+            record.pop("wall_clock_s", None)
+            files[path.name] = record
+        elif path.suffix == ".jsonl":
+            files[path.name] = [json.loads(line) for line in text.splitlines()]
+        else:
+            files[path.name] = list(csv.reader(io.StringIO(text)))
+    return files
+
+
 def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
     """Every run on one checkout: run name -> {file name -> parsed content}."""
     # without PYTHONUNBUFFERED, stdout into the pipe is block-buffered, as by default
@@ -106,32 +136,57 @@ def run_all(tree: Path, out: Path) -> dict[str, dict[str, object]]:
     env["PYTHONPATH"] = str(tree / "src")
     results = {}
     for name, experiment, fixture in RUNS:
-        config = tree / "fixtures" / fixture
-        if name == "sweep":
-            config = out / "sweep.cfg"
-            _sweep_config(tree / "fixtures" / fixture, config)
         run_dir = out / name
         proc = subprocess.run(
-            [sys.executable, "-m", "superosc", experiment, "--config", str(config),
+            [sys.executable, "-m", "superosc", experiment,
+             "--config", str(_config(tree, name, fixture, out)),
              "--out", str(run_dir)] + ([] if name == STDOUT_RUN else ["--quiet"]),
             capture_output=True, text=True, env=env, cwd=out,
         )
-        files: dict[str, object] = {"exit code": proc.returncode,
-                                    "stdout": proc.stdout.replace(str(run_dir), "<out>"),
-                                    "stderr": [_tokens(line)
-                                               for line in proc.stderr.splitlines()]}
-        for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
-            text = path.read_text(encoding="utf-8")
-            if path.suffix == ".json":
-                record = json.loads(text)
-                record.pop("wall_clock_s", None)
-                files[path.name] = record
-            elif path.suffix == ".jsonl":
-                files[path.name] = [json.loads(line) for line in text.splitlines()]
-            else:
-                files[path.name] = list(csv.reader(io.StringIO(text)))
-        results[name] = files
+        results[name] = _outputs(run_dir, proc.returncode, proc.stdout, proc.stderr)
     return results
+
+
+def run_in_process(name: str, out: Path) -> dict[str, object]:
+    """One run of RUNS through this interpreter's ``superosc.cli.main``, ``--quiet``,
+    with RuntimeWarning raised as an error; its outputs as ``run_all`` gives them.
+
+    The configs come from ROOT's ``fixtures/``; SUPEROSC_OUT must be unset.
+    """
+    from superosc.cli import main
+
+    _, experiment, fixture = next(run for run in RUNS if run[0] == name)
+    run_dir = out / name
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([experiment, "--config", str(_config(ROOT, name, fixture, out)),
+                     "--out", str(run_dir), "--quiet"])
+    return _outputs(run_dir, code, "", err.getvalue())
+
+
+def thinned(files: dict[str, object]) -> dict[str, object]:
+    """A run's outputs with each CSV series over GOLDEN_ROWS rows thinned.
+
+    Such a series keeps its header, every k-th row (k the smallest step that
+    keeps at most GOLDEN_ROWS), its row count, and as a last row its column
+    sums (``math.fsum``; None for a text column), so that a change anywhere
+    in a column still moves a kept value.  Under ``compare``, a kept column
+    and its sum form one array.
+    """
+    out = dict(files)
+    for fname, rows in files.items():
+        if not fname.endswith(".csv") or len(rows) - 1 <= GOLDEN_ROWS:
+            continue
+        header, body = rows[0], rows[1:]
+        every = -(-len(body) // GOLDEN_ROWS)
+        sums = []
+        for col in zip(*body):
+            values = [_number(cell) for cell in col]
+            sums.append(None if any(math.isnan(v) for v in values) else math.fsum(values))
+        out[fname] = {"n_rows": len(body), "every": every,
+                      "rows": [header, *body[::every], sums]}
+    return out
 
 
 def _warm_child(tree: str, out: str) -> None:
