@@ -1,7 +1,7 @@
 """``python -m superosc`` and the ``superosc`` console script.
 
-One CLI process runs ``cli.main`` once and exits, so ``run`` skips two costs
-that only a process's start and end pay:
+One CLI process runs ``cli.main`` once and exits, so ``run`` skips three
+costs that only a process's start and end pay:
 
 * cyclic-GC passes over the imports.  Loading ``superosc.cli`` with numpy
   and scipy leaves about 50 000 objects tracked by the collector, and with
@@ -12,6 +12,17 @@ that only a process's start and end pay:
 * interpreter teardown.  After ``main`` returns, its status leaves through
   ``os._exit`` once stdout and stderr are flushed: no module teardown, no
   final collection, no atexit handlers.
+* numpy submodules that only the import asks for.  ``scipy.special`` imports
+  scipy's array-API shim, whose copy of the numpy namespace runs ``from numpy
+  import *``; with numpy 2, that loads every lazy submodule ``numpy.__all__``
+  names, among them ``numpy.f2py`` (with ``charset_normalizer``),
+  ``numpy.ma`` and ``numpy.testing``: 175 of the 829 modules ``import
+  superosc.cli`` loads.  ``run`` first places those three in ``sys.modules``
+  as ``importlib.util.LazyLoader`` modules, so the star-import binds each
+  without running its body.  A body runs on first attribute use, as a plain
+  import would have run it, so deferring changes no result: ``numpy.ma``
+  loads mid-run in transition, detune and the assert fixture (a spline fit
+  asks ``np.ma.isMaskedArray``), and no CLI path uses the other two.
 
 Nothing is lost by the skip.  Every file the CLI writes is closed by a
 ``with`` block or ``Path.write_text`` before ``main`` returns, and the only
@@ -25,8 +36,27 @@ gives.  Importing this module runs nothing: ``cli.main`` called in process
 """
 
 import gc
+import importlib.util
 import os
 import sys
+
+_DEFERRED = ("numpy.f2py", "numpy.ma", "numpy.testing")  # the shim's star-import loads them
+
+
+def _defer() -> None:
+    """Put each deferred module in ``sys.modules`` unexecuted; its body runs on first use."""
+    for name in _DEFERRED:
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
 
 
 def run() -> int:
@@ -37,6 +67,7 @@ def run() -> int:
     """
     gc.disable()
     try:
+        _defer()
         from .cli import main
 
         gc.freeze()

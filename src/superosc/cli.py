@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -77,22 +78,22 @@ class RunRecord:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """Cells of one column: strings as-is, integers in decimal, the rest as floats."""
-    if col.dtype.kind in "OUiu":
-        return [str(v) for v in col.tolist()]
-    return [_FLOAT_FMT % v for v in col.astype(float).tolist()]
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Fixed header, comma separation, 17-significant-digit scientific floats."""
+    """Fixed header, comma separation, 17-significant-digit scientific floats.
+
+    Strings are written as-is and integers in decimal; every other column,
+    booleans included, as floats.
+    """
     columns = [np.asarray(col) for col in columns]
+    columns = [col if col.dtype.kind in "OUiu" else col.astype(float, copy=False)
+               for col in columns]
+    row = ",".join("%s" if col.dtype.kind in "OUiu" else _FLOAT_FMT for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # a block of rows at a time, so the formatted strings stay few
+        # a block of rows at a time, so the formatted strings stay few; one % per block
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [_format_column(col[lo:lo + _CSV_BLOCK_ROWS]) for col in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            cells = [col[lo:lo + _CSV_BLOCK_ROWS].tolist() for col in columns]
+            fh.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 # ---------------------------------------------------------------- config --

@@ -135,7 +135,7 @@ def energy_balance(ca: CoherentAmplitudes, particle: TwoLevelParticle, t: float,
             f"balance report requires Omega*t >= {BALANCE_THETA:.1f}, got {theta:.1f}"
         )
     warnings: list[str] = []
-    e_b = energy_before(ca).value
+    e_b = energy_before(ca)
     i1 = e_b  # structural identity
     gap_e = particle.gap_energy
     i2 = gap_e * i2_over_gap(theta)

@@ -15,6 +15,12 @@ the magnetic-field expectation
             (Re alpha_k sin(k z - w t) + Im alpha_k cos(k z - w t))
 reproduce the right-moving waveform F(z - c t).
 
+The field energy has one route, the trapezoid of |F(k)|^2 over the lattice.
+Its photon-occupation form, sum_k omega_k |alpha_k|^2, is not a second
+route: alpha_k is F(k) times a fixed per-mode factor, so the two sums agree
+term by term, and comparing them could catch no error.  The independent
+check is the spatial integral of F(z)^2 (Parseval), which the tests make.
+
 B(z, t) is evaluated on the sample grid only, where it is the t = 0 field
 moved by c t: its mode sum is the inverse box transform of F(k) with the
 grid origin moved from z_min to z_min - c t, which ``spectral.box_irfft``
@@ -31,7 +37,7 @@ is this array), i sqrt(L / (2 pi omega_k)), its inverse -i sqrt(2 pi omega_k
 only carries (L, uv_cutoff) to ``energy.compute_I3`` builds none.  With
 them, the amplitudes and F(k) on the lattice cost one complex product per
 mode, ``expectation_B`` writes that product straight into the irfft half,
-and ``energy_before``'s two trapezoids take the cached steps; each keeps the
+and ``energy_before``'s trapezoid takes the cached steps; each keeps the
 rounding of the expressions it replaced.
 """
 
@@ -48,8 +54,6 @@ from .errors import DomainError, TruncationError
 from .params import MAX_COUNT
 from .signal import SampledSignal
 from .spectral import SpectralDensity, box_irfft
-
-ENERGY_ROUTE_TOL = 1e-8
 
 
 class _ModeTables(NamedTuple):
@@ -197,37 +201,18 @@ def expectation_B(ca: CoherentAmplitudes, t: float = 0.0) -> np.ndarray:
     return box_irfft(half, ca.z_min - t, ca.dz, n)
 
 
-class EnergyBefore(NamedTuple):
-    spectral_route: float   # (L^2 / 4 pi^2) int dk |F(k)|^2
-    mode_sum_route: float   # sum_k omega_k |alpha_k|^2 under the same measure
+def energy_before(ca: CoherentAmplitudes) -> float:
+    """Field energy of the state, (L^2 / 4 pi^2) int dk |F(k)|^2.
 
-    @property
-    def value(self) -> float:
-        return self.spectral_route
-
-
-def energy_before(ca: CoherentAmplitudes) -> EnergyBefore:
-    """Field energy of the state, by two routes that must agree to 1e-8.
-
-    Both routes realize the mode sum under the same continuum measure
-    (sum_k -> (L/2pi) int dk with trapezoid weights); one starts from the
-    spectral density, the other from photon occupations, so their agreement
-    checks the amplitude map's normalization.
+    The mode sum under the continuum measure sum_k -> (L/2pi) int dk, with
+    trapezoid weights.  Its photon-occupation form is the same sum, as
+    |alpha_k to_f|^2 = (2 pi omega_k / L) |alpha_k|^2 (see the module docstring).
     """
     L, tables = ca.grid.box_length, ca.grid._tables
-    with np.errstate(over="ignore"):  # an overflow is refused below, by its sums
+    with np.errstate(over="ignore"):  # an overflow is refused below, by the sum
         density = np.abs(ca.spectral_values())
         np.square(density, out=density)
-        spectral = (L**2 / (4.0 * math.pi**2)) * _trapezoid(density, tables.steps)
-        weighted = np.abs(ca.alpha)  # omega |alpha|^2, omega = k
-        np.square(weighted, out=weighted)
-        np.multiply(tables.k, weighted, out=weighted)
-        mode_sum = (L / (2.0 * math.pi)) * _trapezoid(weighted, tables.steps)
-    if not (math.isfinite(spectral) and math.isfinite(mode_sum)):
-        raise DomainError(f"the field energy overflows a double (spectral route {spectral:g}, "
-                          f"mode-sum route {mode_sum:g})")
-    if mode_sum > 0.0 and abs(spectral - mode_sum) > ENERGY_ROUTE_TOL * mode_sum:
-        raise ValueError(
-            f"energy routes disagree: spectral {spectral!r} vs mode sum {mode_sum!r}"
-        )
-    return EnergyBefore(spectral, mode_sum)
+        energy = (L**2 / (4.0 * math.pi**2)) * _trapezoid(density, tables.steps)
+    if not math.isfinite(energy):
+        raise DomainError("the field energy overflows a double")
+    return energy

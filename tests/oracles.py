@@ -25,7 +25,7 @@ computes another way:
   ``dynamics._excitation_amplitudes``.
 
 * ``mirrored_spectrum``, ``lattice_amplitudes``, ``lattice_expectation_B``
-  and ``lattice_energy_routes`` -- the spectral chain as it was written
+  and ``lattice_energy`` -- the spectral chain as it was written
   before the per-box mode tables: the conjugate mirror of the rfft half
   concatenated into a signed-k array, and sqrt(L / (2 pi omega)), its
   inverse, the wavenumbers and diff(k) rebuilt on every call.  Against the
@@ -288,13 +288,11 @@ def lattice_expectation_B(alpha: np.ndarray, box_length: float, z_min: float, dz
     return box_irfft(half, z_min - t, dz, n)
 
 
-def lattice_energy_routes(alpha: np.ndarray, box_length: float) -> tuple[float, float]:
-    """(spectral, mode-sum) field energy by ``np.trapezoid`` over the wavenumbers."""
+def lattice_energy(alpha: np.ndarray, box_length: float) -> float:
+    """Field energy (L^2 / 4 pi^2) int dk |F(k)|^2 by ``np.trapezoid`` over the wavenumbers."""
     L, k = box_length, _lattice_k(box_length, alpha.size)
-    spectral = (L**2 / (4.0 * math.pi**2)) * float(
+    return (L**2 / (4.0 * math.pi**2)) * float(
         np.trapezoid(np.abs(_lattice_f(alpha, L)) ** 2, k))
-    mode_sum = (L / (2.0 * math.pi)) * float(np.trapezoid(k * np.abs(alpha) ** 2, k))
-    return spectral, mode_sum
 
 
 def lstsq_sine_amplitude(s: SampledSignal, wavenumber: float, z_lo: float,

@@ -155,6 +155,8 @@ def _outputs(run_dir):
 
 @pytest.mark.parametrize("experiment,fixture,code", [
     ("energy", "energy.cfg", 0),
+    ("transition", "transition.cfg", 0),  # numpy.ma, deferred, loads mid-run
+    ("spectrum", "spectrum_cert.cfg", 0),  # the largest CSV
     ("sweep", "sweep_boost_ladder.cfg", 0),
     ("energy", "bad_missing_section.cfg", 2),
     ("transition", "transition_detuned_assert.cfg", 3),
@@ -207,12 +209,74 @@ def test_module_cli_exit_status_on_an_unwritable_stdout(stdout, tmp_path):
     assert "energy_record.json" in _outputs(tmp_path / "module")
 
 
+def _numpy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "numpy"}
+
+
 def test_importing_main_module_changes_no_gc_state_and_runs_nothing():
     sys.modules.pop("superosc.__main__", None)
-    before = (gc.isenabled(), gc.get_freeze_count())
+    before = (gc.isenabled(), gc.get_freeze_count(), _numpy_modules())
     module = importlib.import_module("superosc.__main__")
-    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert (gc.isenabled(), gc.get_freeze_count(), _numpy_modules()) == before
     assert callable(module.run)
+
+
+# modules that only the deferred numpy submodules import
+DEFERRED_ONLY = ["charset_normalizer", "numpy.f2py.crackfortran", "numpy.testing._private.utils"]
+
+
+def test_module_cli_runs_without_the_deferred_modules(tmp_path):
+    # run() itself, in a child whose os._exit first reports what was loaded
+    code = "\n".join([
+        "import json, os, sys",
+        "from superosc.__main__ import run",
+        "exit_now = os._exit",
+        "def report(code):",
+        f"    print(json.dumps([name in sys.modules for name in {DEFERRED_ONLY!r}]), flush=True)",
+        "    exit_now(code)",
+        "os._exit = report",
+        f"sys.argv = ['superosc', 'transition', '--config', {str(FIXTURES / 'transition.cfg')!r},",
+        "            '--out', 'out', '--quiet']",
+        "raise SystemExit(run())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False] * len(DEFERRED_ONLY)
+    assert (tmp_path / "out" / "transition_record.json").exists()
+
+
+def test_deferred_numpy_modules_load_on_first_use():
+    code = "\n".join([
+        "import json, sys",
+        "import superosc.__main__ as entry",
+        "bare = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')",
+        "entry._defer()",
+        "import superosc.cli",
+        "import numpy as np",
+        f"deferred = [name in sys.modules for name in {DEFERRED_ONLY!r}]",
+        "np.testing.assert_allclose(np.ones(3), np.ones(3))",
+        "masked = np.ma.isMaskedArray(np.ma.masked_invalid([1.0, np.nan]))",
+        "from numpy.f2py import get_include",
+        "print(json.dumps([bare, deferred, masked, bool(get_include()),",
+        f"                  [name in sys.modules for name in {DEFERRED_ONLY!r}]]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    n = len(DEFERRED_ONLY)
+    assert json.loads(proc.stdout) == [[], [False] * n, True, True, [True] * n]
+
+
+def test_every_deferred_module_is_one_a_cli_import_loads():
+    # a name the import never loaded would defer nothing
+    code = ("import json, sys, superosc.cli; from superosc.__main__ import _DEFERRED; "
+            "print(json.dumps([_DEFERRED, [name in sys.modules for name in _DEFERRED]]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    names, loaded = json.loads(proc.stdout)
+    assert names and loaded == [True] * len(names)
 
 
 def test_fixture_runs_leave_no_unclosed_file(tmp_path):
