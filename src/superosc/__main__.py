@@ -12,17 +12,24 @@ costs that only a process's start and end pay:
 * interpreter teardown.  After ``main`` returns, its status leaves through
   ``os._exit`` once stdout and stderr are flushed: no module teardown, no
   final collection, no atexit handlers.
-* numpy submodules that only the import asks for.  ``scipy.special`` imports
-  scipy's array-API shim, whose copy of the numpy namespace runs ``from numpy
-  import *``; with numpy 2, that loads every lazy submodule ``numpy.__all__``
-  names, among them ``numpy.f2py`` (with ``charset_normalizer``),
-  ``numpy.ma`` and ``numpy.testing``: 175 of the 829 modules ``import
-  superosc.cli`` loads.  ``run`` first places those three in ``sys.modules``
-  as ``importlib.util.LazyLoader`` modules, so the star-import binds each
-  without running its body.  A body runs on first attribute use, as a plain
-  import would have run it, so deferring changes no result: ``numpy.ma``
-  loads mid-run in transition, detune and the assert fixture (a spline fit
-  asks ``np.ma.isMaskedArray``), and no CLI path uses the other two.
+* modules that only the imports ask for.  ``scipy.special`` imports scipy's
+  array-API shim, whose copy of the numpy namespace runs ``from numpy import
+  *``; with numpy 2, that loads every lazy submodule ``numpy.__all__`` names,
+  among them ``numpy.f2py`` (with ``charset_normalizer``), ``numpy.ma``,
+  ``numpy.polynomial``, ``numpy.random`` and ``numpy.testing``.  And
+  ``dynamics`` imports ``scipy.interpolate`` for the detector's spline, which
+  brings ``scipy.optimize``, ``scipy.linalg``, ``scipy.sparse`` and
+  ``scipy.spatial``: 287 of the 354 scipy modules.  ``run`` first places
+  each of ``_DEFERRED`` in ``sys.modules`` with its import attributes set and
+  its body unrun, so the star-import and ``import scipy.interpolate`` bind it
+  as it is.  A body runs on the first read of a name the module lacks, as a
+  plain import would have run it, so deferring changes no result: the three
+  ops that fit a spline (transition, detune and the assert fixture) load
+  ``scipy.interpolate`` mid-run, and ``numpy.ma`` and ``numpy.random`` with
+  it, and end with 652 modules loaded; the six others load none of them and
+  end with 342.  A plain ``import superosc.cli`` loads 829.  On 2 cores,
+  deferring ``scipy.interpolate``, ``numpy.polynomial`` and ``numpy.random``
+  took the median ``cli_cold`` benchmark op from 0.69 to 0.42 s.
 
 Nothing is lost by the skip.  Every file the CLI writes is closed by a
 ``with`` block or ``Path.write_text`` before ``main`` returns, and the only
@@ -39,8 +46,26 @@ import gc
 import importlib.util
 import os
 import sys
+import types
 
-_DEFERRED = ("numpy.f2py", "numpy.ma", "numpy.testing")  # the shim's star-import loads them
+# numpy.*: loaded by the shim's star-import; scipy.interpolate: imported by dynamics
+_DEFERRED = ("numpy.f2py", "numpy.ma", "numpy.polynomial", "numpy.random", "numpy.testing",
+             "scipy.interpolate")
+
+
+class _DeferredModule(types.ModuleType):
+    """A module whose body runs on the first read of a name it lacks.
+
+    ``module_from_spec`` sets ``__spec__``, ``__path__`` and the other import
+    attributes, so the reads an ``import`` statement makes find them without
+    running the body.  ``importlib.util.LazyLoader`` would not do: its module
+    runs the body on any attribute read, ``__spec__`` included.
+    """
+
+    def __getattr__(self, name):
+        self.__class__ = types.ModuleType  # a read during the body is an ordinary miss
+        self.__spec__.loader.exec_module(self)
+        return getattr(self, name)
 
 
 def _defer() -> None:
@@ -51,10 +76,9 @@ def _defer() -> None:
         spec = importlib.util.find_spec(name)
         if spec is None:
             continue
-        spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
+        module.__class__ = _DeferredModule
         sys.modules[name] = module
-        spec.loader.exec_module(module)
         parent, _, child = name.rpartition(".")
         setattr(sys.modules[parent], child, module)
 

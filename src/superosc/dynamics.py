@@ -68,7 +68,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+# Only a spline fit reads this module, and ``python -m superosc`` defers its
+# body until that read (``superosc.__main__``).  Hence this form: the statement
+# reads the module's ``__spec__`` alone, which the deferred module holds without
+# running its body (importlib's LazyLoader would run it there), while ``from
+# scipy import interpolate`` would import through scipy's ``__getattr__`` and
+# leave ``-X importtime`` with no ``scipy.interpolate`` row.
+import scipy.interpolate
 
 from .errors import DegenerateDenominator, DomainError, InsufficientData
 from .signal import SampledSignal, grid_points
@@ -229,7 +235,8 @@ def _detector_matrix(z_min: float, dz: float, i_lo: int, i_hi: int, z0: float,
         if lo < hi:  # else these samples lie beyond the margin of every weighed piece
             unit = np.zeros((k_hi - k_lo, b1 - b0))
             unit[np.arange(b0 - k_lo, b1 - k_lo), np.arange(b1 - b0)] = 1.0
-            coef = CubicSpline(x[k_lo:k_hi], unit).c.transpose(1, 0, 2)  # (piece, power, col)
+            spline = scipy.interpolate.CubicSpline(x[k_lo:k_hi], unit)
+            coef = spline.c.transpose(1, 0, 2)  # (piece, power, col)
             rows = _block_rows(w, np.ascontiguousarray(coef[lo - k_lo:hi - k_lo]), lo)
             matrix[:, :, b0:b1] = rows.transpose(1, 0, 2)
     matrix.flags.writeable = False
@@ -267,7 +274,8 @@ def _excitation_amplitudes(s: SampledSignal, gaps, times, detector_z: float) -> 
         else:  # too large to keep: Phi applied to the samples' own spline
             x = s.z_slice(i_lo, i_hi)
             w = _piece_weights(x, np.array(gaps), detector_z, np.array(times))
-            coef = CubicSpline(x, samples).c.T[w.j0:w.jb + 1, :, None]  # (piece, power, 1)
+            spline = scipy.interpolate.CubicSpline(x, samples)
+            coef = spline.c.T[w.j0:w.jb + 1, :, None]  # (piece, power, 1)
             rows = _block_rows(w, np.ascontiguousarray(coef), w.j0)[:, :, 0].T
         amps = rows[:len(gaps)] + 1j * rows[len(gaps):]
     if not np.isfinite(amps).all():

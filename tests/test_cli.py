@@ -154,9 +154,12 @@ def _outputs(run_dir):
 
 
 @pytest.mark.parametrize("experiment,fixture,code", [
+    ("synth", "synth.cfg", 0),
     ("energy", "energy.cfg", 0),
-    ("transition", "transition.cfg", 0),  # numpy.ma, deferred, loads mid-run
+    ("transition", "transition.cfg", 0),  # scipy.interpolate, deferred, loads mid-run
+    ("detune", "detune.cfg", 0),
     ("spectrum", "spectrum_cert.cfg", 0),  # the largest CSV
+    ("freq-map", "freqmap_cert.cfg", 0),
     ("sweep", "sweep_boost_ladder.cfg", 0),
     ("energy", "bad_missing_section.cfg", 2),
     ("transition", "transition_detuned_assert.cfg", 3),
@@ -176,7 +179,8 @@ def test_module_cli_matches_plain_main(experiment, fixture, code, tmp_path):
     assert got == code, stderr
     assert _outputs(tmp_path / "module") == _outputs(tmp_path / "plain")
     if code == 0:  # the one stdout line, whole through the pipe
-        assert stdout == f"{experiment}: wrote out/{experiment}_record.json\n".encode()
+        record = f"out/{experiment.replace('-', '_')}_record.json"
+        assert stdout == f"{experiment}: wrote {record}\n".encode()
         assert _outputs(tmp_path / "module")
     else:
         assert stdout == b"" and stderr
@@ -222,50 +226,75 @@ def test_importing_main_module_changes_no_gc_state_and_runs_nothing():
 
 
 # modules that only the deferred numpy submodules import
-DEFERRED_ONLY = ["charset_normalizer", "numpy.f2py.crackfortran", "numpy.testing._private.utils"]
+DEFERRED_ONLY = ["charset_normalizer", "numpy.f2py.crackfortran", "numpy.polynomial.polynomial",
+                 "numpy.testing._private.utils"]
+# modules that only a spline fit imports: scipy.interpolate's body and what it pulls in
+SPLINE_ONLY = ["scipy.interpolate._cubic", "scipy.optimize._minimize", "scipy.linalg._basic",
+               "numpy.random.mtrand"]
 
 
-def test_module_cli_runs_without_the_deferred_modules(tmp_path):
+@pytest.mark.parametrize("experiment,fixture,spline", [
+    ("energy", "energy.cfg", False),
+    ("spectrum", "spectrum_cert.cfg", False),
+    ("transition", "transition.cfg", True),
+], ids=["energy", "spectrum", "transition"])
+def test_module_cli_runs_without_the_deferred_modules(experiment, fixture, spline, tmp_path):
     # run() itself, in a child whose os._exit first reports what was loaded
+    names = DEFERRED_ONLY + SPLINE_ONLY
     code = "\n".join([
         "import json, os, sys",
         "from superosc.__main__ import run",
         "exit_now = os._exit",
         "def report(code):",
-        f"    print(json.dumps([name in sys.modules for name in {DEFERRED_ONLY!r}]), flush=True)",
+        f"    print(json.dumps({{name: name in sys.modules for name in {names!r}}}), flush=True)",
         "    exit_now(code)",
         "os._exit = report",
-        f"sys.argv = ['superosc', 'transition', '--config', {str(FIXTURES / 'transition.cfg')!r},",
+        f"sys.argv = ['superosc', {experiment!r}, '--config', {str(FIXTURES / fixture)!r},",
         "            '--out', 'out', '--quiet']",
         "raise SystemExit(run())",
     ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_cli_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False] * len(DEFERRED_ONLY)
-    assert (tmp_path / "out" / "transition_record.json").exists()
+    loaded = json.loads(proc.stdout)
+    if spline:  # the detector's fit ran the scipy.interpolate body mid-run
+        assert loaded["scipy.interpolate._cubic"]
+        assert [loaded[name] for name in DEFERRED_ONLY] == [False] * len(DEFERRED_ONLY)
+    else:
+        assert loaded == dict.fromkeys(names, False)
+    assert (tmp_path / "out" / f"{experiment}_record.json").exists()
 
 
 def test_deferred_numpy_modules_load_on_first_use():
+    # the import statements of dynamics and of this child leave scipy.interpolate
+    # unrun; its first attribute read runs it and gives the plain import's class
     code = "\n".join([
-        "import json, sys",
+        "import importlib, json, sys",
         "import superosc.__main__ as entry",
         "bare = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')",
         "entry._defer()",
+        "import scipy.interpolate",
         "import superosc.cli",
         "import numpy as np",
-        f"deferred = [name in sys.modules for name in {DEFERRED_ONLY!r}]",
+        f"deferred = [name in sys.modules for name in {DEFERRED_ONLY + SPLINE_ONLY!r}]",
+        "spline = scipy.interpolate.CubicSpline",
+        "from scipy.interpolate import CubicSpline",
+        "plain = importlib.import_module('scipy.interpolate._cubic').CubicSpline",
+        "same = spline is CubicSpline is plain and type(scipy.interpolate) is type(np)",
         "np.testing.assert_allclose(np.ones(3), np.ones(3))",
         "masked = np.ma.isMaskedArray(np.ma.masked_invalid([1.0, np.nan]))",
         "from numpy.f2py import get_include",
-        "print(json.dumps([bare, deferred, masked, bool(get_include()),",
+        "drawn = np.random.default_rng(0).random() == np.random.default_rng(0).random()",
+        "poly = np.polynomial.Polynomial([1.0, 2.0])(3.0)",
+        "print(json.dumps([bare, deferred, same, masked, bool(get_include()), drawn, poly,",
         f"                  [name in sys.modules for name in {DEFERRED_ONLY!r}]]))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     n = len(DEFERRED_ONLY)
-    assert json.loads(proc.stdout) == [[], [False] * n, True, True, [True] * n]
+    assert json.loads(proc.stdout) == [[], [False] * (n + len(SPLINE_ONLY)), True, True, True,
+                                       True, 7.0, [True] * n]
 
 
 def test_every_deferred_module_is_one_a_cli_import_loads():
